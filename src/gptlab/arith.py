@@ -79,7 +79,11 @@ class Context:
         return str(x) if self.exact else repr(x)
 
     def parse(self, text: str) -> Scalar:
-        frac = Fraction(text)
+        """Read one coordinate (an integer or a 'p/q' string); ValueError if malformed."""
+        try:
+            frac = Fraction(text)
+        except (TypeError, ZeroDivisionError):
+            raise ValueError(f"not a rational coordinate: {text!r}") from None
         return frac if self.exact else float(frac)
 
 

@@ -3,7 +3,7 @@
 Subcommands: run (scenario files), decompose, group, transitive (state-space
 JSON files), lri and verify (factor pairs plus an optional map).  Exit codes:
 0 when every check passes or is inapplicable, 1 when any check fails, 2 on
-usage, parse or I/O errors.
+usage, parse, input or I/O errors and on an exceeded search budget.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from . import dynamics as dyn
 from . import interactions as ia
 from . import scenario as sc
 from . import statespace as ss
-from .config import DEFAULT_BUDGETS
+from .config import BudgetExceededError, DEFAULT_BUDGETS
 from .runner import RunConfig, execute
 from .report import mat_from_json, mat_to_json, validate_report
 
@@ -33,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--eps", type=float, default=1e-9,
                         help="comparison tolerance in float mode")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGETS.lri_assignments,
-                        help="cap on interaction-family candidate assignments")
+                        help="cap on composite symmetries filtered as interaction candidates")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized property suites")
@@ -79,7 +79,10 @@ def _load_space(path: str, config: RunConfig) -> ss.StateSpace:
 def _load_map(path: str, config: RunConfig):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return mat_from_json(data["matrix"], config.ctx)
+    rows = data.get("matrix") if isinstance(data, dict) else None
+    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+        raise ValueError("a map file must be a JSON object {\"matrix\": [[...], ...]}")
+    return mat_from_json(rows, config.ctx)
 
 
 def _cmd_run(args, config: RunConfig) -> int:
@@ -216,7 +219,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, json.JSONDecodeError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,7 +1,7 @@
 """Resource budgets for the exhaustive searches.
 
 Everything in this library is desk scale, but the brute-force enumerations
-(face subsets, symmetry search, interaction-family assignments, dual-vertex
+(face subsets, symmetry search, interaction candidates, dual-vertex
 combinations) are exponential, so each carries a configurable cap.  Exceeding
 a cap raises or flags, never silently truncates.
 """
@@ -19,7 +19,7 @@ class BudgetExceededError(RuntimeError):
 class Budgets:
     face_subsets: int = 2**16          # cap on 2^|V| face-candidate subsets
     group_nodes: int = 10**6           # symmetry search tree nodes
-    lri_assignments: int = 10**7       # interaction-family candidate assignments
+    lri_assignments: int = 10**7       # composite symmetries filtered as LRI candidates
     effect_combinations: int = 10**6   # active-constraint choices for dual vertices
 
     def with_lri(self, budget: int) -> "Budgets":

@@ -11,6 +11,7 @@ without ever touching all n! permutations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .config import BudgetExceededError, DEFAULT_BUDGETS, Budgets
@@ -70,13 +71,6 @@ class ReversibleMap:
             for i in range(s.nvertices)
         )
 
-    def __matmul__(self, other: "ReversibleMap") -> "ReversibleMap":
-        if self.space is not other.space:
-            raise ValueError("composition across different spaces")
-        perm = tuple(self.perm[other.perm[i]] for i in range(len(self.perm)))
-        return ReversibleMap(self.space, perm, self.matrix @ other.matrix,
-                             other.inverse @ self.inverse)
-
 
 @dataclass(frozen=True)
 class SymmetryGroup:
@@ -84,10 +78,14 @@ class SymmetryGroup:
 
     space: StateSpace
     elements: tuple  # ReversibleMap, sorted by vertex permutation
-    generators: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "_by_perm", {g.perm: g for g in self.elements})
+
+    @cached_property
+    def generators(self) -> tuple:
+        """Greedy generating set, built on first use."""
+        return _greedy_generators(self)
 
     @property
     def order(self) -> int:
@@ -170,9 +168,8 @@ class _VertexGeometry:
                     for b in range(m):
                         s_rows[a][b] = s_rows[a][b] + x[a] * x[b]
             s_inv = Matrix.from_rows(s_rows, ctx).inverse()
-            self.gram = tuple(
-                tuple(dot(xs[i], s_inv.apply(xs[j])) for j in range(n)) for i in range(n)
-            )
+            ys = [s_inv.apply(x) for x in xs]
+            self.gram = tuple(tuple(dot(x, y) for y in ys) for x in xs)
 
         self.classes = tuple(
             (ctx.key(self.gram[i][i]),
@@ -198,6 +195,14 @@ def _search_vertex_maps(src: _VertexGeometry, dst: _VertexGeometry,
     cand = [tuple(j for j in range(n) if dst.classes[j] == src.classes[i])
             for i in range(n)]
     order = sorted(range(n), key=lambda i: len(cand[i]))
+
+    # Gram values as small integer labels shared by both sides, so the inner
+    # loop compares ints; labels follow ctx.key, as the classes above do.
+    labels: dict = {}
+    src_gram, dst_gram = (
+        [[labels.setdefault(ctx.key(x), len(labels)) for x in row] for row in geom.gram]
+        for geom in (src, dst)
+    )
 
     sigma = [-1] * n
     used = [False] * n
@@ -236,7 +241,8 @@ def _search_vertex_maps(src: _VertexGeometry, dst: _VertexGeometry,
                 return not find_all
             return False
         i = order[pos]
-        gi = src.gram[i]
+        gi = src_gram[i]
+        placed = [(sigma[k], gi[k]) for k in order[:pos]]
         for j in cand[i]:
             if used[j]:
                 continue
@@ -245,14 +251,8 @@ def _search_vertex_maps(src: _VertexGeometry, dst: _VertexGeometry,
                 raise BudgetExceededError(
                     f"symmetry search exceeded {budget} nodes"
                 )
-            gj = dst.gram[j]
-            ok = True
-            for q in range(pos):
-                k = order[q]
-                if not ctx.eq(gj[sigma[k]], gi[k]):
-                    ok = False
-                    break
-            if not ok:
+            gj = dst_gram[j]
+            if any(gj[s] != g for s, g in placed):
                 continue
             sigma[i] = j
             used[j] = True
@@ -277,7 +277,7 @@ def _map_matrix(src: _VertexGeometry, dst: _VertexGeometry, sigma) -> Matrix:
     else:
         zero = tuple(ctx.zero() for _ in range(d_dst))
         cols += [zero] * src.n_complement
-    return Matrix.from_cols(cols, ctx) @ src.full_basis_inv
+    return Matrix(tuple(zip(*cols)), ctx) @ src.full_basis_inv
 
 
 def reversible_maps(space: StateSpace, budgets: Budgets = DEFAULT_BUDGETS) -> SymmetryGroup:
@@ -289,9 +289,7 @@ def reversible_maps(space: StateSpace, budgets: Budgets = DEFAULT_BUDGETS) -> Sy
     for perm in perms:
         if tuple(sorted(range(n), key=lambda i: perm[i])) not in perm_set:
             raise RuntimeError("symmetry search returned a set not closed under inverse")
-    elements = tuple(ReversibleMap(space, perm, geom=geom) for perm in perms)
-    group = SymmetryGroup(space, elements, ())
-    return SymmetryGroup(space, elements, _greedy_generators(group))
+    return SymmetryGroup(space, tuple(ReversibleMap(space, perm, geom=geom) for perm in perms))
 
 
 def _greedy_generators(group: SymmetryGroup) -> tuple:

@@ -6,18 +6,22 @@ reversible transformation of its factor; it is trivial when both families
 are constant.  From a witness one constructs partial broadcasters (fix one
 input, undo the local map on the matching output), from broadcasters
 non-disturbing measurements, and from a nontrivial measurement a direct-sum
-decomposition of the state space.  The enumerator exhausts all witnesses of
-a composite at desk scale, which turns the triviality theorems into
-machine-checkable statements.
+decomposition of the state space.
+
+Every locally reversible T permutes the pure product states, so it lies in
+the reversible group of the minimal tensor product.  The enumerator computes
+that group with the vertex-permutation symmetry search of ``dynamics`` and
+keeps the elements whose grid slices lie in the factor groups.  This exhausts
+all witnesses of a composite at desk scale, which turns the triviality
+theorems into machine-checkable statements.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .config import DEFAULT_BUDGETS, Budgets
+from .config import BudgetExceededError, DEFAULT_BUDGETS, Budgets
 from .decompose import (
     Decomposition,
     _extract,
@@ -25,8 +29,8 @@ from .decompose import (
     has_classical_dof,
     irreducible_components,
 )
-from .dynamics import ReversibleMap, is_reversible_map
-from .linalg import Matrix, dependency_basis, dot, independent_subset, kron, veq
+from .dynamics import ReversibleMap, is_reversible_map, reversible_maps
+from .linalg import Matrix, dot, independent_subset, kron, veq
 from .statespace import Effect, State, StateSpace, min_tensor
 
 
@@ -158,172 +162,47 @@ def enumerate_lris(a: StateSpace, b: StateSpace, groups: tuple,
                    budgets: Budgets = DEFAULT_BUDGETS) -> LriEnumeration:
     """Exhaust every reversible T with T(a (x) b) = X_b(a) (x) Y_a(b).
 
-    Outer loop over the {X_b} family; the {Y_a} family is then constrained
-    pointwise by the linear dependencies of the vertex lists (a single
-    A-side dependency forces all Y_a equal on its support) and by the B-side
-    dependencies, which filter each Y_a independently.  Survivors are built
-    and re-verified, so pruning can only ever remove invalid candidates.
+    Such a T permutes the pure product states, so it is an element of the
+    composite's reversible group; conversely a composite symmetry is an LRI
+    exactly when every grid slice of its vertex permutation lies in a factor
+    group (fix b: a permutation in G_A; fix a: one in G_B).  The enumerator
+    filters the composite group by that test, so its completeness is the
+    symmetry search's.  ``explored`` counts the composite symmetries filtered,
+    capped by ``budgets.lri_assignments``; a composite search that exceeds
+    ``budgets.group_nodes`` leaves the enumeration incomplete with nothing
+    explored.  Survivors are re-verified as witnesses.
     """
     group_a, group_b = groups
-    ctx = a.ctx
     composite = min_tensor(a, b)
+    try:
+        symmetries = reversible_maps(composite, budgets).elements
+    except BudgetExceededError:
+        return LriEnumeration((), False, 0)
     na, nb = a.nvertices, b.nvertices
-    budget = budgets.lri_assignments
+    at = {pair: k for k, pair in enumerate(composite.product_index)}
+    cell = [[at[(i, j)] for j in range(nb)] for i in range(na)]  # a_i (x) b_j
 
-    pvec = {(i, j): kron(a.vertices[i], b.vertices[j])
-            for i in range(na) for j in range(nb)}
-    deps_a = dependency_basis(a.vertices, ctx)
-    deps_b = dependency_basis(b.vertices, ctx)
-    perms_a = sorted(g.perm for g in group_a.elements)
-    perms_b = sorted(g.perm for g in group_b.elements)
-
-    # Which A-rows are forced to share one Y (single-dependency support ties).
-    if len(deps_a) == 0:
-        row_groups = [[i] for i in range(na)]
-    elif len(deps_a) == 1:
-        supp = [i for i in range(na) if not ctx.is_zero(deps_a[0][i])]
-        rest = [[i] for i in range(na) if i not in supp]
-        row_groups = [supp] + rest if supp else rest
-    else:
-        row_groups = None  # no safe tying; enumerate row domains independently
-
-    # T is determined by its action on a spanning subset of product vertices.
-    grid = [(i, j) for i in range(na) for j in range(nb)]
-    span_pos = independent_subset([pvec[g] for g in grid], ctx)
-    span_pairs = [grid[k] for k in span_pos]
-    basis_cols = [pvec[g] for g in span_pairs]
-    d = composite.ambient_dim
-    for t in range(d):
-        e = tuple(ctx.one() if k == t else ctx.zero() for k in range(d))
-        if len(independent_subset(basis_cols + [e], ctx)) > len(basis_cols):
-            basis_cols.append(e)
-            span_pairs.append(None)  # complement direction: maps to itself
-    full_basis = Matrix.from_cols(basis_cols, ctx)
-    full_basis_inv = full_basis.inverse()
-
-    zero_vec = tuple(ctx.zero() for _ in range(d))
-
-    def row_domain(pattern) -> Optional[list]:
-        """All Y-perms compatible with the B-side dependencies for one row.
-
-        pattern[j] is the A-vertex index X_{b_j} sends this row's vertex to.
-        """
-        if not deps_b:
-            return list(range(len(perms_b)))
-        out = []
-        for yi, y in enumerate(perms_b):
-            ok = True
-            for dep in deps_b:
-                total = zero_vec
-                for j in range(nb):
-                    cj = dep[j]
-                    if ctx.is_zero(cj):
-                        continue
-                    total = tuple(x + cj * y_ for x, y_ in zip(total, pvec[(pattern[j], y[j])]))
-                if not all(ctx.is_zero(x) for x in total):
-                    ok = False
-                    break
-            if ok:
-                out.append(yi)
-        return out
-
-    domain_cache: dict = {}
-    found: dict = {}
+    found = []
     explored = 0
     complete = True
-
-    for xs in itertools.product(range(len(perms_a)), repeat=nb):
+    for g in symmetries:
         explored += 1
-        if explored > budget:
+        if explored > budgets.lri_assignments:
             complete = False
             break
-        x_assign = [perms_a[k] for k in xs]
-        patterns = [tuple(x_assign[j][i] for j in range(nb)) for i in range(na)]
-        domains = []
-        empty = False
-        for i in range(na):
-            key = patterns[i]
-            dom = domain_cache.get(key)
-            if dom is None:
-                dom = row_domain(key)
-                domain_cache[key] = dom
-            if not dom:
-                empty = True
-                break
-            domains.append(dom)
-        if empty:
+        image = [[composite.product_index[g.perm[k]] for k in row] for row in cell]
+        xs = tuple(group_a.element_by_perm([image[i][j][0] for i in range(na)])
+                   for j in range(nb))
+        ys = tuple(group_b.element_by_perm([pair[1] for pair in row]) for row in image)
+        if None in xs or None in ys:
             continue
+        witness = LriWitness(a, b, composite, g.matrix, xs, ys)
+        if not witness.verify():
+            raise RuntimeError("enumerated witness failed re-verification")
+        found.append((g.matrix, witness))
 
-        if row_groups is None:
-            def assignments():
-                for choice in itertools.product(*domains):
-                    yield list(choice)
-        else:
-            group_domains = []
-            ok = True
-            for g in row_groups:
-                shared = set(domains[g[0]]) if g else set()
-                for i in g[1:]:
-                    shared &= set(domains[i])
-                if not shared:
-                    ok = False
-                    break
-                group_domains.append(sorted(shared))
-            if not ok:
-                continue
-
-            def assignments():
-                for choice in itertools.product(*group_domains):
-                    ys = [None] * na
-                    for g, yi in zip(row_groups, choice):
-                        for i in g:
-                            ys[i] = yi
-                    yield ys
-
-        for ys in assignments():
-            explored += 1
-            if explored > budget:
-                complete = False
-                break
-            y_assign = [perms_b[k] for k in ys]
-            # grid bijectivity of (i, j) -> (X_bj(i), Y_ai(j))
-            images = {}
-            seen = set()
-            bij = True
-            for (i, j) in grid:
-                tgt = (x_assign[j][i], y_assign[i][j])
-                if tgt in seen:
-                    bij = False
-                    break
-                seen.add(tgt)
-                images[(i, j)] = tgt
-            if not bij:
-                continue
-            cols = []
-            for pair, col in zip(span_pairs, basis_cols):
-                if pair is None:
-                    cols.append(col)
-                else:
-                    cols.append(pvec[images[pair]])
-            t_mat = Matrix.from_cols(cols, ctx) @ full_basis_inv
-            if any(not veq(t_mat.apply(pvec[g]), pvec[images[g]], ctx) for g in grid):
-                continue  # pointwise family does not extend linearly
-            if t_mat.inverse() is None:
-                continue
-            key = t_mat.rows
-            if key in found:
-                continue
-            x_family = tuple(group_a.element_by_perm(p) for p in x_assign)
-            y_family = tuple(group_b.element_by_perm(p) for p in y_assign)
-            witness = LriWitness(a, b, composite, t_mat, x_family, y_family)
-            if not witness.verify():
-                raise RuntimeError("enumerated witness failed re-verification")
-            found[key] = (t_mat, witness)
-        if not complete:
-            break
-
-    ordered = tuple(found[k] for k in sorted(found))
-    return LriEnumeration(ordered, complete, explored)
+    found.sort(key=lambda pair: pair[0].rows)
+    return LriEnumeration(tuple(found), complete, explored)
 
 
 # -- named interaction builders ----------------------------------------------
@@ -664,8 +543,9 @@ def verify_theorem2(a: StateSpace, b: StateSpace, groups: tuple,
                               detail=f"{which} carries a classical degree of freedom")
     enum = enumerate_lris(a, b, groups, budgets)
     if not enum.complete:
-        return Theorem2Report("budget_exceeded", total=len(enum.pairs),
-                              detail=f"stopped after {enum.explored} assignments")
+        detail = (f"stopped after {enum.explored} composite symmetries" if enum.explored
+                  else "the composite symmetry search exceeded its node budget")
+        return Theorem2Report("budget_exceeded", total=len(enum.pairs), detail=detail)
     trivial = sum(1 for _, w in enum.pairs if w.is_trivial())
     if trivial == len(enum.pairs):
         return Theorem2Report("pass", total=len(enum.pairs), trivial=trivial)

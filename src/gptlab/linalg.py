@@ -4,12 +4,17 @@ Vectors and covectors are plain tuples of scalars; :class:`Matrix` is an
 immutable dense matrix.  Everything takes an explicit arithmetic context so
 the same code runs in exact and float mode.  Sizes here are tiny (ambient
 dimensions below ~20), so the implementations favour clarity and exactness
-over asymptotics.
+over asymptotics.  In exact mode the products (``apply``, ``left_apply``,
+``@``) run over integers: each row or column is scaled once by the lcm of its
+denominators, and each output entry costs a single ``Fraction(n, d)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .arith import EXACT, Context, Scalar
@@ -42,6 +47,12 @@ def kron(a: Vector, b: Vector) -> Vector:
     return tuple(x * y for x in a for y in b)
 
 
+def _scaled(v: Vector) -> tuple:
+    """A rational vector as (integer numerators, common denominator)."""
+    den = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (den // x.denominator) for x in v), den
+
+
 def is_zero_vec(a: Vector, ctx: Context) -> bool:
     return all(ctx.is_zero(x) for x in a)
 
@@ -56,6 +67,9 @@ class Matrix:
 
     rows: tuple
     ctx: Context = field(default=EXACT, compare=False)
+    # exact mode: rows and columns in _scaled form, built on first use
+    _int_rows: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _int_cols: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rows and len({len(r) for r in self.rows}) != 1:
@@ -100,22 +114,42 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(tuple(zip(*self.rows)) if self.rows else (), self.ctx)
 
+    def _scaled_rows(self) -> tuple:
+        if self._int_rows is None:
+            object.__setattr__(self, "_int_rows", tuple(_scaled(r) for r in self.rows))
+        return self._int_rows
+
+    def _scaled_cols(self) -> tuple:
+        if self._int_cols is None:
+            object.__setattr__(self, "_int_cols", tuple(_scaled(c) for c in zip(*self.rows)))
+        return self._int_cols
+
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.ncols:
             raise ValueError(f"dimension mismatch: {self.shape} @ {len(v)}")
-        return tuple(dot(r, v) for r in self.rows)
+        if not self.ctx.exact:
+            return tuple(dot(r, v) for r in self.rows)
+        vn, vd = _scaled(v)
+        return tuple(Fraction(sum(map(mul, rn, vn)), rd * vd) for rn, rd in self._scaled_rows())
 
     def left_apply(self, covec: Vector) -> Vector:
         """covec @ M (covector acting from the left)."""
         if len(covec) != self.nrows:
             raise ValueError(f"dimension mismatch: {len(covec)} @ {self.shape}")
-        return tuple(dot(covec, self.col(j)) for j in range(self.ncols))
+        if not self.ctx.exact:
+            return tuple(dot(covec, self.col(j)) for j in range(self.ncols))
+        vn, vd = _scaled(covec)
+        return tuple(Fraction(sum(map(mul, vn, cn)), vd * cd) for cn, cd in self._scaled_cols())
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"dimension mismatch: {self.shape} @ {other.shape}")
-        bt = other.transpose().rows
-        return Matrix(tuple(tuple(dot(r, c) for c in bt) for r in self.rows), self.ctx)
+        if not self.ctx.exact:
+            bt = other.transpose().rows
+            return Matrix(tuple(tuple(dot(r, c) for c in bt) for r in self.rows), self.ctx)
+        cols = other._scaled_cols()
+        return Matrix(tuple(tuple(Fraction(sum(map(mul, rn, cn)), rd * cd) for cn, cd in cols)
+                            for rn, rd in self._scaled_rows()), self.ctx)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return Matrix(tuple(vadd(a, b) for a, b in zip(self.rows, other.rows, strict=True)), self.ctx)

@@ -178,7 +178,10 @@ class _LineParser:
 
     def rational(self) -> Fraction:
         tok = self.take("rat")
-        return Fraction(tok.text)
+        try:
+            return Fraction(tok.text)
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {tok.text!r}", tok.line, tok.col) from None
 
     def vector(self) -> tuple:
         self.take("sym", "[")

@@ -426,8 +426,15 @@ def space_from_json(data, ctx: Context = EXACT) -> StateSpace:
     """Load and re-validate a state space from its JSON form."""
     if isinstance(data, str):
         data = json.loads(data)
-    verts = [[ctx.parse(x) for x in v] for v in data["vertices"]]
-    u = [ctx.parse(x) for x in data["unit_effect"]]
+    if not isinstance(data, dict):
+        raise ValueError("a state space must be a JSON object")
+    verts, u = data.get("vertices"), data.get("unit_effect")
+    if not (isinstance(verts, list) and all(isinstance(v, list) for v in verts)
+            and isinstance(u, list)):
+        raise ValueError("a state space needs 'vertices' (a list of coordinate lists) "
+                         "and 'unit_effect' (a coordinate list)")
+    verts = [[ctx.parse(x) for x in v] for v in verts]
+    u = [ctx.parse(x) for x in u]
     space = make_space(verts, u, label=data.get("label", ""), ctx=ctx)
     if space.ambient_dim != data["ambient_dim"]:
         raise ValueError("ambient_dim does not match the coordinates")

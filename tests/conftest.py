@@ -1,9 +1,13 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for oracles.py
+# CLI tests run `python -m gptlab` in child processes; point them at src/ too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 from gptlab import statespace
 

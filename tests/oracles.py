@@ -188,6 +188,31 @@ def random_u_preserving_map(space, rng):
             return lin
 
 
+def unimodular_u_preserving_map(space, rng, steps=3):
+    """Random det-1 integer map fixing the unit effect of a space.
+
+    A product of transvections I + c a b^T with u.a = 0 (u is fixed) and
+    b.a = 0 (determinant 1), so the map and its inverse are integral.
+    """
+    d = space.ambient_dim
+    u = space.u
+    lin = Matrix.identity(d)
+    support = [k for k in range(d) if u[k] != 0]
+    for _ in range(steps if d > 1 else 0):
+        k = rng.choice(support)
+        i = rng.choice([t for t in range(d) if t != k])
+        a = [Fraction(0)] * d
+        a[i] += u[k]
+        a[k] -= u[i]
+        r = [Fraction(rng.randint(-1, 1)) for _ in range(d)]
+        b = [dot(a, a) * rj - dot(a, r) * aj for rj, aj in zip(r, a)]
+        c = rng.choice((-1, 1))
+        step = Matrix.from_rows([[int(p == q) + c * a[p] * b[q] for q in range(d)]
+                                 for p in range(d)])
+        lin = step @ lin
+    return lin
+
+
 def random_polytope(rng, max_vertices=8, max_ambient=6):
     """Seeded random state space: integer-ish points at height 1, u = e_last."""
     from gptlab.statespace import make_space

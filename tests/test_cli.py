@@ -53,6 +53,14 @@ def test_run_parse_error_exit_two(tmp_path):
     assert "1:11" in proc.stderr
 
 
+def test_run_zero_denominator_exit_two(tmp_path):
+    bad = tmp_path / "zero.gpt"
+    bad.write_text("space A = vertices [[1/0, 1]] unit [0, 1]\n")
+    proc = run_cli("run", str(bad))
+    assert proc.returncode == 2
+    assert "1:22" in proc.stderr
+
+
 def test_run_failing_check_exit_one(tmp_path):
     scen = tmp_path / "failing.gpt"
     scen.write_text(
@@ -112,3 +120,26 @@ def test_verify_subcommand(gbit_json, d1_json):
 def test_usage_error_exit_two():
     proc = run_cli("frobnicate")
     assert proc.returncode == 2
+
+
+_ZERO_DENOMINATOR = dict(space_to_json(ss.simplex(1)), vertices=[["1/0", "0"], ["0", "1"]])
+
+
+@pytest.mark.parametrize("text", ["[1,2]", json.dumps(_ZERO_DENOMINATOR)],
+                         ids=["top-level-array", "zero-denominator"])
+def test_group_rejects_malformed_space(tmp_path, text):
+    path = tmp_path / "space.json"
+    path.write_text(text)
+    proc = run_cli("group", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_exceeded_group_budget_exits_two(gbit_json, monkeypatch, capsys):
+    from gptlab import cli
+    from gptlab.config import Budgets
+
+    monkeypatch.setattr(cli, "DEFAULT_BUDGETS", Budgets(group_nodes=3))
+    assert cli.main(["group", str(gbit_json)]) == 2
+    assert capsys.readouterr().err.startswith("error: symmetry search exceeded")

@@ -62,7 +62,9 @@ def test_group_axioms_exhaustive():
             assert inv_perm in perms
             assert a.verify()
             for b in g.elements:
-                assert (a @ b).perm in perms
+                composed = g.element_by_perm(tuple(a.perm[b.perm[i]] for i in range(len(a.perm))))
+                assert composed is not None
+                assert composed.matrix.eq(a.matrix @ b.matrix)
 
 
 def test_generators_generate():

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from gptlab.interactions import (
     verify_theorem2,
 )
 from gptlab.linalg import Matrix, kron
-from oracles import brute_force_lris
+from oracles import brute_force_lris, unimodular_u_preserving_map
 
 
 @pytest.fixture(scope="module")
@@ -429,3 +430,43 @@ def test_enumerated_witnesses_roundtrip_through_lri_decompose(bit, bit_groups):
         assert again is not None
         assert [x.perm for x in again.x_family] == [x.perm for x in w.x_family]
         assert [y.perm for y in again.y_family] == [y.perm for y in w.y_family]
+
+
+@pytest.mark.parametrize("make_pair, total", [
+    (lambda: (ss.simplex(1), ss.simplex(1)), 12),
+    (lambda: (ss.simplex(1), ss.gbit()), 128),
+    (lambda: (ss.simplex(2), ss.simplex(1)), 144),
+], ids=["d1-d1", "d1-gbit", "d2-d1"])
+def test_enumerate_scrambled_pairs_match_oracle(make_pair, total):
+    # a det-1 integer map fixing u changes every coordinate but no answer
+    rng = random.Random(17)
+    a, b = make_pair()
+    a = ss.transformed(a, unimodular_u_preserving_map(a, rng))
+    b = ss.transformed(b, unimodular_u_preserving_map(b, rng))
+    ga, gb = reversible_maps(a), reversible_maps(b)
+    enum = enumerate_lris(a, b, (ga, gb))
+    assert enum.complete
+    assert len(enum) == total
+    assert {t.rows for t, _ in enum.pairs} == brute_force_lris(a, b, ga, gb)
+
+
+@pytest.mark.parametrize("make_pair, total", [
+    (lambda: (ss.gbit(), ss.cross(3)), 384),
+    (lambda: (ss.simplex(3), ss.simplex(1)), 2880),
+], ids=["gbit-cross3", "d3-d1"])
+def test_enumerate_counts_on_larger_composites(make_pair, total):
+    a, b = make_pair()
+    enum = enumerate_lris(a, b, (reversible_maps(a), reversible_maps(b)))
+    assert enum.complete
+    assert len(enum) == total
+    rows = [t.rows for t, _ in enum.pairs]
+    assert rows == sorted(rows)
+
+
+def test_composite_search_budget_flags_instead_of_raising(square_space, square_groups):
+    budgets = Budgets(group_nodes=10)
+    enum = enumerate_lris(square_space, square_space, square_groups, budgets)
+    assert not enum.complete
+    assert len(enum) == 0
+    report = verify_theorem2(square_space, square_space, square_groups, budgets)
+    assert report.verdict == "budget_exceeded"

@@ -101,3 +101,31 @@ def test_kron_layout():
 def test_dot_dimension_mismatch():
     with pytest.raises(ValueError):
         dot((1, 2), (1, 2, 3))
+
+
+def test_exact_products_match_fraction_dot():
+    # the integer kernel against the term-by-term Fraction dot, on entries
+    # that are non-integer, negative, zero (whole zero rows) and plain ints
+    rng = random.Random(5)
+
+    def entry():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rng.randint(-5, 5)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    for _ in range(60):
+        m, n, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a_rows = [[entry() for _ in range(n)] for _ in range(m)]
+        a_rows[rng.randrange(m)] = [0] * n
+        a = Matrix(tuple(tuple(r) for r in a_rows))
+        b = Matrix(tuple(tuple(entry() for _ in range(k)) for _ in range(n)))
+        v = tuple(entry() for _ in range(n))
+        w = tuple(entry() for _ in range(m))
+        assert a.apply(v) == tuple(dot(r, v) for r in a.rows)
+        assert a.left_apply(w) == tuple(dot(w, a.col(j)) for j in range(n))
+        assert (a @ b).rows == tuple(tuple(dot(r, b.col(j)) for j in range(k))
+                                     for r in a.rows)
+        assert all(isinstance(x, Fraction) for x in a.apply(v))
