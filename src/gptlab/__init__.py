@@ -37,7 +37,7 @@ from .dynamics import (
     vertex_permutation,
 )
 from .runner import RunConfig, execute
-from .geometry import Face, FaceLattice, face_lattice, in_hull, is_face, join, rank
+from .geometry import Face, FaceLattice, face_lattice, in_hull, is_face, join
 from .interactions import (
     BlockStructure,
     FMap,

@@ -35,8 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGETS.lri_assignments,
                         help="cap on composite symmetries filtered as interaction candidates")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized property suites")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario file")
@@ -68,7 +66,7 @@ def demo_path() -> Path:
 
 def _config(args) -> RunConfig:
     budgets = DEFAULT_BUDGETS.with_lri(args.budget)
-    return RunConfig(mode=args.mode, eps=args.eps, budgets=budgets, seed=args.seed)
+    return RunConfig(mode=args.mode, eps=args.eps, budgets=budgets)
 
 
 def _load_space(path: str, config: RunConfig) -> ss.StateSpace:

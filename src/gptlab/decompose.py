@@ -14,8 +14,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .config import DEFAULT_BUDGETS, Budgets
-from .dynamics import SymmetryGroup, _VertexGeometry, _map_matrix, _search_vertex_maps, is_transitive
-from .linalg import Matrix, dot, independent_subset, veq
+from .dynamics import (
+    SymmetryGroup,
+    _VertexGeometry,
+    _map_matrix,
+    _search_vertex_maps,
+    _vertex_map,
+    is_transitive,
+)
+from .linalg import Matrix, complete_basis, dot, independent_subset, veq
 from .statespace import Effect, StateSpace, _assemble, min_tensor, simplex
 
 
@@ -114,8 +121,12 @@ def irreducible_components(space: StateSpace) -> Decomposition:
     groups: dict = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
+    return _decomposition(space, groups.values())
 
-    components = [_extract(space, tuple(sorted(b))) for b in groups.values()]
+
+def _decomposition(space: StateSpace, blocks) -> Decomposition:
+    """Extract each vertex block and order the components canonically."""
+    components = [_extract(space, tuple(sorted(b))) for b in blocks]
     components.sort(key=lambda c: (c.dim, len(c.indices), c.indices))
     return Decomposition(space, tuple(components))
 
@@ -236,15 +247,10 @@ def classical_subsystem(space: StateSpace, group: SymmetryGroup,
             cols.append(embed.col(m))
     big = Matrix.from_cols(cols, ctx)
 
-    lookup = {tuple(ctx.key(x) for x in v): k for k, v in enumerate(space.vertices)}
-    vertex_map = []
-    for v in composite.vertices:
-        image = big.apply(v)
-        k = lookup.get(tuple(ctx.key(x) for x in image))
-        if k is None:
-            raise RuntimeError("factorization image missed the vertex set")
-        vertex_map.append(k)
-    iso = Isomorphism(composite, space, big, tuple(vertex_map))
+    vertex_map = _vertex_map(big, composite.vertices, space)
+    if vertex_map is None:
+        raise RuntimeError("factorization image missed the vertex set")
+    iso = Isomorphism(composite, space, big, vertex_map)
     if not iso.verify():
         raise RuntimeError("classical-subsystem isomorphism failed verification")
     return ClassicalSubsystem(space, n - 1, c_space, iso, decomp)
@@ -262,28 +268,10 @@ def component_indicator_effects(space: StateSpace,
     ctx = space.ctx
     if decomp is None:
         decomp = irreducible_components(space)
-    cols = []
-    owners = []
-    for k, comp in enumerate(decomp.components):
-        for m in range(comp.dim):
-            cols.append(comp.basis.col(m))
-            owners.append(k)
-    d = space.ambient_dim
-    for j in range(d):
-        e = tuple(ctx.one() if t == j else ctx.zero() for t in range(d))
-        if len(independent_subset(cols + [e], ctx)) > len(cols):
-            cols.append(e)
-            owners.append(None)  # complement of the span: annihilated
-    full = Matrix.from_cols(cols, ctx)
-    inv = full.inverse()
-
     effects = []
     one, zero = ctx.one(), ctx.zero()
-    for k, comp in enumerate(decomp.components):
-        selector = tuple(one if owners[t] == k else zero for t in range(d))
+    for comp, proj in zip(decomp.components, _block_projectors(decomp)):
         # e_k = u o P_k with P_k the projector onto block k along the rest.
-        proj_rows = [tuple(selector[t] * inv.rows[t][j] for j in range(d)) for t in range(d)]
-        proj = full @ Matrix(tuple(proj_rows), ctx)
         covector = proj.transpose().apply(space.u)
         values = tuple(one if i in comp.indices else zero for i in range(space.nvertices))
         effects.append(Effect(space, tuple(covector), values))
@@ -292,3 +280,21 @@ def component_indicator_effects(space: StateSpace,
             if not ctx.eq(dot(eff.covector, v), eff.values[i]):
                 raise RuntimeError("indicator effect failed verification")
     return effects
+
+
+def _block_projectors(decomp: Decomposition) -> list:
+    """Projector onto each component's span along the other components' spans
+    and a complement of their sum (which every projector annihilates)."""
+    ctx = decomp.space.ctx
+    d = decomp.space.ambient_dim
+    cols = [col for comp in decomp.components for col in comp.basis.cols()]
+    owners = [k for k, comp in enumerate(decomp.components) for _ in range(comp.dim)]
+    owners += [None] * (d - len(owners))  # the completing unit vectors
+    full = Matrix.from_cols(complete_basis(cols, d, ctx), ctx)
+    inv = full.inverse()
+    zero_row = tuple(ctx.zero() for _ in range(d))
+    projectors = []
+    for k in range(decomp.n):
+        rows = tuple(inv.rows[t] if owners[t] == k else zero_row for t in range(d))
+        projectors.append(full @ Matrix(rows, ctx))
+    return projectors

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .config import BudgetExceededError, DEFAULT_BUDGETS, Budgets
 from .geometry import FaceLattice
-from .linalg import Matrix, dependency_basis, dot, independent_subset, veq, vsub
+from .linalg import Matrix, complete_basis, dependency_basis, dot, independent_subset, veq, vsub
 from .statespace import StateSpace
 
 
@@ -121,12 +121,7 @@ class _VertexGeometry:
 
         # Complete the reference vertices to an ambient basis with standard
         # basis vectors; used to extend span maps by the identity.
-        cols = [verts[i] for i in ref]
-        for j in range(d):
-            e = tuple(ctx.one() if k == j else ctx.zero() for k in range(d))
-            if len(independent_subset(cols + [e], ctx)) > len(cols):
-                cols.append(e)
-        self.full_basis = Matrix.from_cols(cols, ctx)
+        self.full_basis = Matrix.from_cols(complete_basis([verts[i] for i in ref], d, ctx), ctx)
         self.full_basis_inv = self.full_basis.inverse()
         self.n_complement = d - self.r
 
@@ -316,64 +311,63 @@ def _greedy_generators(group: SymmetryGroup) -> tuple:
     return tuple(gens)
 
 
-def is_reversible_map(space: StateSpace, matrix: Matrix) -> bool:
-    """Invertible, fixes u, and permutes the vertex set."""
-    ctx = space.ctx
+def _vertex_map(matrix: Matrix, points, target: StateSpace) -> Optional[tuple]:
+    """Index in ``target.vertices`` of each point's image under the matrix.
+
+    None when some image is not a vertex of the target or two images coincide.
+    """
+    ctx = target.ctx
+    lookup = {tuple(ctx.key(x) for x in v): k for k, v in enumerate(target.vertices)}
+    images = []
+    for v in points:
+        k = lookup.get(tuple(ctx.key(x) for x in matrix.apply(v)))
+        if k is None:
+            return None
+        images.append(k)
+    return tuple(images) if len(set(images)) == len(images) else None
+
+
+def _as_map(space: StateSpace, matrix: Matrix) -> Optional[ReversibleMap]:
+    """The matrix as a reversible map of the space, or None when it is not one:
+    it must fix u, permute the vertex set and be invertible."""
     d = space.ambient_dim
     if matrix.shape != (d, d):
         raise ValueError("matrix must be square on the ambient dimension")
-    if not veq(matrix.left_apply(space.u), space.u, ctx):
-        return False
-    if matrix.inverse() is None:
-        return False
-    lookup = {tuple(ctx.key(x) for x in v): k for k, v in enumerate(space.vertices)}
-    images = []
-    for v in space.vertices:
-        w = matrix.apply(v)
-        k = lookup.get(tuple(ctx.key(x) for x in w))
-        if k is None:
-            return False
-        images.append(k)
-    return len(set(images)) == space.nvertices
+    if not veq(matrix.left_apply(space.u), space.u, space.ctx):
+        return None
+    perm = _vertex_map(matrix, space.vertices, space)
+    if perm is None:
+        return None
+    inverse = matrix.inverse()
+    if inverse is None:
+        return None
+    return ReversibleMap(space, perm, matrix, inverse)
+
+
+def is_reversible_map(space: StateSpace, matrix: Matrix) -> bool:
+    """Invertible, fixes u, and permutes the vertex set."""
+    return _as_map(space, matrix) is not None
 
 
 def vertex_permutation(space: StateSpace, matrix: Matrix) -> tuple:
     """The permutation a reversible matrix induces on the vertex list."""
-    ctx = space.ctx
-    lookup = {tuple(ctx.key(x) for x in v): k for k, v in enumerate(space.vertices)}
-    perm = []
-    for v in space.vertices:
-        k = lookup.get(tuple(ctx.key(x) for x in matrix.apply(v)))
-        if k is None:
-            raise ValueError("matrix does not permute the vertex set")
-        perm.append(k)
-    if len(set(perm)) != space.nvertices:
+    perm = _vertex_map(matrix, space.vertices, space)
+    if perm is None:
         raise ValueError("matrix does not permute the vertex set")
-    return tuple(perm)
+    return perm
 
 
 def as_reversible_map(space: StateSpace, matrix: Matrix) -> ReversibleMap:
     """Wrap a raw matrix after checking it is a reversible transformation."""
-    if not is_reversible_map(space, matrix):
+    rmap = _as_map(space, matrix)
+    if rmap is None:
         raise ValueError("matrix is not a reversible transformation of this space")
-    return ReversibleMap(space, vertex_permutation(space, matrix),
-                         matrix, matrix.inverse())
+    return rmap
 
 
 def is_transitive(space: StateSpace, group: SymmetryGroup) -> bool:
     """Single orbit of the vertex-permutation action."""
-    n = space.nvertices
-    seen = {0}
-    frontier = [0]
-    perms = group.perms
-    while frontier:
-        i = frontier.pop()
-        for p in perms:
-            j = p[i]
-            if j not in seen:
-                seen.add(j)
-                frontier.append(j)
-    return len(seen) == n
+    return len(orbits(space, group)) == 1
 
 
 def orbits(space: StateSpace, group: SymmetryGroup) -> list:

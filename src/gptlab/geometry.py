@@ -14,26 +14,18 @@ from typing import Optional, Sequence
 
 from .arith import EXACT, Context
 from .config import BudgetExceededError, DEFAULT_BUDGETS, Budgets
-from .linalg import Matrix, Vector
+from .linalg import Vector
 from .lp import HullMembership, in_hull, supporting_covector
 
 __all__ = [
     "Face",
     "FaceLattice",
-    "rank",
     "in_hull",
     "HullMembership",
     "is_face",
     "face_lattice",
     "join",
 ]
-
-
-def rank(m: Matrix) -> int:
-    """Exact matrix rank (fraction-free elimination)."""
-    if m.nrows == 0 or m.ncols == 0:
-        raise ValueError("rank of an empty matrix")
-    return m.rank()
 
 
 @dataclass(frozen=True)
@@ -103,9 +95,6 @@ class FaceLattice:
     @property
     def top(self) -> Face:
         return self.faces[-1]
-
-    def leq(self, f1: Face, f2: Face) -> bool:
-        return f1 <= f2
 
     def counts_by_cardinality(self) -> dict:
         out: dict = {}

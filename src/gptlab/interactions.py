@@ -24,13 +24,14 @@ from typing import Optional, Sequence
 from .config import BudgetExceededError, DEFAULT_BUDGETS, Budgets
 from .decompose import (
     Decomposition,
-    _extract,
+    _block_projectors,
+    _decomposition,
     component_indicator_effects,
     has_classical_dof,
     irreducible_components,
 )
-from .dynamics import ReversibleMap, is_reversible_map, reversible_maps
-from .linalg import Matrix, dot, independent_subset, kron, veq
+from .dynamics import ReversibleMap, _as_map, reversible_maps
+from .linalg import Matrix, complete_basis, dot, independent_subset, kron, veq
 from .statespace import Effect, State, StateSpace, min_tensor
 
 
@@ -86,58 +87,45 @@ def lri_decompose(t: Matrix, a: StateSpace, b: StateSpace,
                   groups: tuple, composite: Optional[StateSpace] = None) -> Optional[LriWitness]:
     """Read the local families off a candidate interaction, or fail.
 
-    Every vertex-pair image must itself be a product of vertices, the induced
-    vertex maps must be permutations, and each must belong to the factor's
-    reversible group.  A map that breaks u-preservation raises
+    T must be a reversible map of the composite: invertible, and permuting
+    the pure product states.  The families are the grid slices of that
+    permutation, and each must be an element of its factor's reversible
+    group.  Returns None when T is not reversible or some slice is not a
+    local symmetry.  A map that breaks u-preservation raises
     NormalizationError (a malformed input, not a mere witness failure).
     """
-    group_a, group_b = groups
-    ctx = a.ctx
     if composite is None:
         composite = min_tensor(a, b)
     d = composite.ambient_dim
     if t.shape != (d, d):
         raise ValueError("matrix does not act on the composite ambient")
-    if not veq(t.left_apply(composite.u), composite.u, ctx):
+    if not veq(t.left_apply(composite.u), composite.u, a.ctx):
         raise NormalizationError("u o T != u on the composite")
-
-    lookup = {tuple(ctx.key(x) for x in v): k for k, v in enumerate(composite.vertices)}
-    na, nb = a.nvertices, b.nvertices
-    x_perms = [[None] * na for _ in range(nb)]
-    y_perms = [[None] * nb for _ in range(na)]
-    for i, va in enumerate(a.vertices):
-        for j, vb in enumerate(b.vertices):
-            image = t.apply(kron(va, vb))
-            k = lookup.get(tuple(ctx.key(x) for x in image))
-            if k is None:
-                return None  # image is not a pure product state
-            ii, jj = composite.product_index[k]
-            x_perms[j][i] = ii
-            y_perms[i][j] = jj
-
-    x_family = []
-    for j in range(nb):
-        perm = tuple(x_perms[j])
-        if len(set(perm)) != na:
-            return None
-        element = group_a.element_by_perm(perm)
-        if element is None:
-            return None
-        x_family.append(element)
-    y_family = []
-    for i in range(na):
-        perm = tuple(y_perms[i])
-        if len(set(perm)) != nb:
-            return None
-        element = group_b.element_by_perm(perm)
-        if element is None:
-            return None
-        y_family.append(element)
-
-    witness = LriWitness(a, b, composite, t, tuple(x_family), tuple(y_family))
-    if not witness.verify():
+    g = _as_map(composite, t)
+    witness = None if g is None else _witness(a, b, composite, g, groups)
+    if witness is None or not witness.verify():
         return None
     return witness
+
+
+def _witness(a: StateSpace, b: StateSpace, composite: StateSpace, g: ReversibleMap,
+             groups: tuple) -> Optional[LriWitness]:
+    """The witness whose families are the grid slices of g, or None.
+
+    X_b is the slice with b fixed and Y_a the slice with a fixed; each must
+    be an element of its factor group.  The witness is not yet verified.
+    """
+    group_a, group_b = groups
+    x_perms = [[0] * a.nvertices for _ in range(b.nvertices)]
+    y_perms = [[0] * b.nvertices for _ in range(a.nvertices)]
+    index = composite.product_index
+    for (i, j), k in zip(index, g.perm):
+        x_perms[j][i], y_perms[i][j] = index[k]
+    xs = tuple(group_a.element_by_perm(p) for p in x_perms)
+    ys = tuple(group_b.element_by_perm(p) for p in y_perms)
+    if None in xs or None in ys:
+        return None
+    return LriWitness(a, b, composite, g.matrix, xs, ys)
 
 
 # -- exhaustive enumeration ---------------------------------------------------
@@ -172,15 +160,11 @@ def enumerate_lris(a: StateSpace, b: StateSpace, groups: tuple,
     ``budgets.group_nodes`` leaves the enumeration incomplete with nothing
     explored.  Survivors are re-verified as witnesses.
     """
-    group_a, group_b = groups
     composite = min_tensor(a, b)
     try:
         symmetries = reversible_maps(composite, budgets).elements
     except BudgetExceededError:
         return LriEnumeration((), False, 0)
-    na, nb = a.nvertices, b.nvertices
-    at = {pair: k for k, pair in enumerate(composite.product_index)}
-    cell = [[at[(i, j)] for j in range(nb)] for i in range(na)]  # a_i (x) b_j
 
     found = []
     explored = 0
@@ -190,13 +174,9 @@ def enumerate_lris(a: StateSpace, b: StateSpace, groups: tuple,
         if explored > budgets.lri_assignments:
             complete = False
             break
-        image = [[composite.product_index[g.perm[k]] for k in row] for row in cell]
-        xs = tuple(group_a.element_by_perm([image[i][j][0] for i in range(na)])
-                   for j in range(nb))
-        ys = tuple(group_b.element_by_perm([pair[1] for pair in row]) for row in image)
-        if None in xs or None in ys:
+        witness = _witness(a, b, composite, g, groups)
+        if witness is None:
             continue
-        witness = LriWitness(a, b, composite, g.matrix, xs, ys)
         if not witness.verify():
             raise RuntimeError("enumerated witness failed re-verification")
         found.append((g.matrix, witness))
@@ -262,27 +242,10 @@ def controlled_map(classical: StateSpace, system: StateSpace,
         raise ValueError(
             f"control space has {decomp.n} classical values, got {len(maps)} maps"
         )
-    d = classical.ambient_dim
-    cols = []
-    owners = []
-    for k, comp in enumerate(decomp.components):
-        for m in range(comp.dim):
-            cols.append(comp.basis.col(m))
-            owners.append(k)
-    for j in range(d):
-        e = tuple(ctx.one() if t == j else ctx.zero() for t in range(d))
-        if len(independent_subset(cols + [e], ctx)) > len(cols):
-            cols.append(e)
-            owners.append(None)
-    full = Matrix.from_cols(cols, ctx)
-    inv = full.inverse()
-    db = system.ambient_dim
-    total = Matrix.zeros(d * db, d * db, ctx)
-    for k in range(decomp.n):
-        sel = tuple(ctx.one() if owners[t] == k else ctx.zero() for t in range(d))
-        proj_rows = [tuple(sel[t] * inv.rows[t][j] for j in range(d)) for t in range(d)]
-        proj = full @ Matrix(tuple(proj_rows), ctx)
-        total = total + proj.kron(maps[k])
+    n = classical.ambient_dim * system.ambient_dim
+    total = Matrix.zeros(n, n, ctx)
+    for proj, m in zip(_block_projectors(decomp), maps):
+        total = total + proj.kron(m)
     return total
 
 
@@ -510,14 +473,10 @@ def extract_decomposition(family: MeasurementFamily) -> Optional[Decomposition]:
     if len(groups) == 1:
         return None
 
-    blocks = [tuple(sorted(v)) for v in groups.values()]
-    total = Matrix.from_rows(space.vertices, ctx).rank()
-    ranks = sum(Matrix.from_rows([space.vertices[i] for i in b], ctx).rank() for b in blocks)
-    if ranks != total:
+    decomp = _decomposition(space, groups.values())
+    if not decomp.verify():
         raise RuntimeError("measurement signature groups have entangled spans")
-    components = [_extract(space, b) for b in blocks]
-    components.sort(key=lambda c: (c.dim, len(c.indices), c.indices))
-    return Decomposition(space, tuple(components))
+    return decomp
 
 
 # -- theorem verifiers ----------------------------------------------------------
@@ -595,16 +554,10 @@ class BlockStructure:
             cols_src.append(kron(a.vertices[i], b.vertices[j]))
             cols_dst.append(kron(va, vb))
         pos = independent_subset(cols_src, ctx)
-        d = self.composite.ambient_dim
-        chosen_src = [cols_src[k] for k in pos]
-        chosen_dst = [cols_dst[k] for k in pos]
-        for t in range(d):
-            e = tuple(ctx.one() if k == t else ctx.zero() for k in range(d))
-            if len(independent_subset(chosen_src + [e], ctx)) > len(chosen_src):
-                chosen_src.append(e)
-                chosen_dst.append(self.matrix.apply(e))
-        rebuilt = Matrix.from_cols(chosen_dst, ctx) @ Matrix.from_cols(chosen_src, ctx).inverse()
-        return rebuilt
+        basis = complete_basis([cols_src[k] for k in pos], self.composite.ambient_dim, ctx)
+        # off the span of the product vertices the interaction is copied as is
+        chosen_dst = [cols_dst[k] for k in pos] + [self.matrix.apply(e) for e in basis[len(pos):]]
+        return Matrix.from_cols(chosen_dst, ctx) @ Matrix.from_cols(basis, ctx).inverse()
 
 
 def conditional_structure(t: Matrix, a: StateSpace, b: StateSpace, groups: tuple,
@@ -618,23 +571,18 @@ def conditional_structure(t: Matrix, a: StateSpace, b: StateSpace, groups: tuple
     """
     ctx = a.ctx
     composite = min_tensor(a, b)
-    if not is_reversible_map(composite, t):
+    g = _as_map(composite, t)
+    if g is None:
         raise ValueError("matrix is not a reversible transformation of the composite")
     decomp_a = irreducible_components(a)
     decomp_b = irreducible_components(b)
     block_a = {v: k for k, comp in enumerate(decomp_a.components) for v in comp.indices}
     block_b = {v: k for k, comp in enumerate(decomp_b.components) for v in comp.indices}
 
-    lookup = {tuple(ctx.key(x) for x in v): k for k, v in enumerate(composite.vertices)}
-    na, nb = a.nvertices, b.nvertices
-    images = {}
-    for i in range(na):
-        for j in range(nb):
-            image = t.apply(kron(a.vertices[i], b.vertices[j]))
-            k = lookup.get(tuple(ctx.key(x) for x in image))
-            if k is None:
-                return None  # reversible but does not preserve pure products
-            images[(i, j)] = composite.product_index[k]
+    # a reversible map permutes the composite's vertices, the pure products;
+    # images maps each grid cell (i, j) to the cell of its image, in grid order
+    index = composite.product_index
+    images = dict(sorted(zip(index, (index[k] for k in g.perm))))
 
     blocks: dict = {}
     pairs_by_block: dict = {}

@@ -335,6 +335,14 @@ def independent_subset(vectors: Sequence[Vector], ctx: Context = EXACT) -> list:
     return chosen
 
 
+def complete_basis(cols: Sequence[Vector], d: int, ctx: Context = EXACT) -> list:
+    """Independent ``cols`` followed by the unit vectors e_j that complete them
+    to a basis of the d-dimensional ambient space, chosen greedily in order."""
+    one, zero = ctx.one(), ctx.zero()
+    vectors = list(cols) + [tuple(one if k == j else zero for k in range(d)) for j in range(d)]
+    return [vectors[k] for k in independent_subset(vectors, ctx)]
+
+
 def span_rank(vectors: Sequence[Vector], ctx: Context = EXACT) -> int:
     if not vectors:
         return 0

@@ -1,7 +1,8 @@
 """Scenario evaluation: statements in order, one record per check.
 
 A failing check never aborts later checks; evaluation errors become
-verdict="error" records.  With an ``expect`` clause the verdict is pass/fail
+verdict="error" records.  A space or map definition that cannot be evaluated
+stops the run with a ParseError at its line:column.  With an ``expect`` clause the verdict is pass/fail
 by comparison with the computed outcome label, which lets scenarios encode
 negative controls (e.g. ``check lri SW on GG expect none``).
 """
@@ -29,7 +30,6 @@ class RunConfig:
     mode: str = "exact"
     eps: float = 1e-9
     budgets: Budgets = DEFAULT_BUDGETS
-    seed: int = 0  # reserved for randomized suites driven through the CLI
 
     @property
     def ctx(self) -> Context:
@@ -69,13 +69,17 @@ def execute(ast: sc.ScenarioAst, config: RunConfig = RunConfig(),
     records = []
     check_no = 0
     for stmt in ast.statements:
-        if isinstance(stmt, sc.SpaceDef):
-            env.spaces[stmt.name] = _eval_space(stmt, env)
-        elif isinstance(stmt, sc.MapDef):
-            env.maps[stmt.name] = _eval_map(stmt, env)
-        else:
+        if isinstance(stmt, sc.CheckStmt):
             check_no += 1
             records.append(_run_check(stmt, env, check_no))
+            continue
+        try:
+            if isinstance(stmt, sc.SpaceDef):
+                env.spaces[stmt.name] = _eval_space(stmt, env)
+            else:
+                env.maps[stmt.name] = _eval_map(stmt, env)
+        except (ValueError, KeyError) as exc:
+            raise sc.ParseError(str(exc), stmt.loc.line, stmt.loc.col) from exc
     return Report(scenario_name, VERSION, config.mode, tuple(records))
 
 

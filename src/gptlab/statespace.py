@@ -41,9 +41,6 @@ class StateSpace:
     def nvertices(self) -> int:
         return len(self.vertices)
 
-    def vertex_index(self, v: Vector) -> int:
-        return self.vertices.index(tuple(v))
-
     def unit_value(self, x: Vector):
         return dot(self.u, x)
 

@@ -143,3 +143,26 @@ def test_exceeded_group_budget_exits_two(gbit_json, monkeypatch, capsys):
     monkeypatch.setattr(cli, "DEFAULT_BUDGETS", Budgets(group_nodes=3))
     assert cli.main(["group", str(gbit_json)]) == 2
     assert capsys.readouterr().err.startswith("error: symmetry search exceeded")
+
+
+def test_lri_subcommand_rejects_singular_map(tmp_path, d1_json):
+    map_path = tmp_path / "singular.json"
+    map_path.write_text(json.dumps({"matrix": [[0, 1, 1, 0], [0, 0, 0, 0],
+                                              [0, 0, 0, 0], [1, 0, 0, 1]]}))
+    proc = run_cli("lri", str(d1_json), str(d1_json), str(map_path))
+    assert proc.returncode == 1
+    assert "no witness" in proc.stdout
+
+
+@pytest.mark.parametrize("text, loc", [
+    ("space G = gbit()\nspace B = cube(0)\n", "2:1"),
+    ("space D = simplex(1)\nspace G = gbit()\nmap I = identity(G)\n"
+     "map C = ctrl(D, G, I, I, I)\n", "4:1"),
+], ids=["builder-argument", "ctrl-map-count"])
+def test_run_evaluation_error_has_location(tmp_path, text, loc):
+    bad = tmp_path / "bad.gpt"
+    bad.write_text(text)
+    proc = run_cli("run", str(bad))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {loc}: ")
+    assert "Traceback" not in proc.stderr

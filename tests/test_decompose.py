@@ -4,6 +4,7 @@ import pytest
 
 from gptlab import statespace as ss
 from gptlab.decompose import (
+    _block_projectors,
     ClassicalSubsystem,
     NotTransitiveError,
     classical_subsystem,
@@ -13,7 +14,7 @@ from gptlab.decompose import (
     spaces_isomorphic,
 )
 from gptlab.dynamics import reversible_maps
-from gptlab.linalg import dot
+from gptlab.linalg import Matrix, dot
 from gptlab.statespace import direct_sum, min_tensor, transformed
 from oracles import finest_valid_partition, random_u_preserving_map
 
@@ -190,3 +191,23 @@ def test_scramble_preserves_component_isomorphism_types():
             assert hit is not None
             remaining.pop(hit)
         assert not remaining
+
+
+@pytest.mark.parametrize("space", [direct_sum(ss.gbit(), ss.point()), ss.simplex(2)],
+                         ids=["gbit+point", "simplex2"])
+def test_block_projectors_resolve_the_identity(space):
+    decomp = irreducible_components(space)
+    projectors = _block_projectors(decomp)
+    assert len(projectors) == decomp.n >= 2
+    d = space.ambient_dim
+    zero = Matrix.zeros(d, d)
+    total = zero
+    for k, p in enumerate(projectors):
+        assert (p @ p).eq(p)
+        for m, q in enumerate(projectors):
+            if m != k:
+                assert (p @ q).eq(zero)
+        for i in decomp.components[k].indices:
+            assert p.apply(space.vertices[i]) == space.vertices[i]
+        total = total + p
+    assert total.eq(Matrix.identity(d))

@@ -1,0 +1,55 @@
+"""Source hygiene: every name a library module imports is used in that module.
+
+``__init__.py`` is left out, since its imports are the package's re-exports.
+A name counts as used when it is read anywhere in the module, named in a
+string annotation, or listed in ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gptlab"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> dict:
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return names
+
+
+def _used(tree: ast.Module) -> set:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used(tree)
+    unused = {name: line for name, line in _imported(tree).items() if name not in used}
+    assert not unused, f"{path.name}: unused imports (name: line) {unused}"

@@ -470,3 +470,39 @@ def test_composite_search_budget_flags_instead_of_raising(square_space, square_g
     assert len(enum) == 0
     report = verify_theorem2(square_space, square_space, square_groups, budgets)
     assert report.verdict == "budget_exceeded"
+
+
+def _grid_map(a, b, grid):
+    """The composite matrix sending a_i (x) b_j to a_i' (x) b_j' for grid[(i, j)] = (i', j')."""
+    src = Matrix.from_cols([kron(a.vertices[i], b.vertices[j]) for i, j in grid])
+    dst = Matrix.from_cols([kron(a.vertices[i], b.vertices[j]) for i, j in grid.values()])
+    return dst @ src.inverse()
+
+
+def test_singular_grid_map_is_not_an_lri(bit, bit_groups):
+    # every grid slice is a permutation, but two products share an image
+    t = _grid_map(bit, bit, {(0, 0): (0, 0), (0, 1): (1, 1), (1, 0): (1, 1), (1, 1): (0, 0)})
+    assert t.det() == 0
+    assert lri_decompose(t, bit, bit, bit_groups) is None
+
+
+def test_map_singular_off_the_vertex_span_is_not_an_lri(bit, bit_groups):
+    # the factor's vertices span only two of its three coordinates, and T
+    # fixes every pure product while killing the third coordinate
+    a = ss.make_space([[1, 0, 0], [0, 1, 0]], [1, 1, 0])
+    t = Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]]).kron(Matrix.identity(2))
+    assert lri_decompose(t, a, bit, (reversible_maps(a), bit_groups[0])) is None
+
+
+@pytest.mark.parametrize("make_pair", [
+    lambda: (ss.simplex(1), ss.simplex(1)),
+    lambda: (ss.gbit(), ss.simplex(1)),
+], ids=["bit-bit", "gbit-bit"])
+def test_lri_decompose_agrees_with_enumeration(make_pair):
+    a, b = make_pair()
+    groups = (reversible_maps(a), reversible_maps(b))
+    composite = ss.min_tensor(a, b)
+    lris = {t.rows for t, _ in enumerate_lris(a, b, groups)}
+    for g in reversible_maps(composite).elements:
+        witness = lri_decompose(g.matrix, a, b, groups, composite)
+        assert (witness is not None) == (g.matrix.rows in lris)

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from gptlab import statespace as ss
 from gptlab.linalg import (
     Matrix,
+    complete_basis,
     dependency_basis,
     dot,
     independent_subset,
@@ -129,3 +131,26 @@ def test_exact_products_match_fraction_dot():
         assert (a @ b).rows == tuple(tuple(dot(r, b.col(j)) for j in range(k))
                                      for r in a.rows)
         assert all(isinstance(x, Fraction) for x in a.apply(v))
+
+
+def _complete_by_rank_loop(cols, d):
+    """Reference: append e_j whenever it raises the rank of what is kept."""
+    cols = list(cols)
+    for j in range(d):
+        e = tuple(Fraction(int(k == j)) for k in range(d))
+        if len(independent_subset(cols + [e])) > len(cols):
+            cols.append(e)
+    return cols
+
+
+@pytest.mark.parametrize("cols, d", [
+    ([], 3),
+    ([(Fraction(1), Fraction(2), Fraction(0)), (Fraction(0), Fraction(1), Fraction(1)),
+      (Fraction(1), Fraction(0), Fraction(3))], 3),
+    (list(ss.min_tensor(ss.simplex(1), ss.make_space([[1, 0, 0], [0, 1, 0]], [1, 1, 0])).vertices), 6),
+], ids=["empty", "full-rank", "non-spanning-vertices"])
+def test_complete_basis_matches_rank_loop(cols, d):
+    got = complete_basis(cols, d)
+    assert got == _complete_by_rank_loop(cols, d)
+    assert got[:len(cols)] == cols
+    assert Matrix.from_cols(got).rank() == d

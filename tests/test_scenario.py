@@ -229,3 +229,11 @@ def test_execute_budget_exceeded_verdict():
     text = "space G = gbit()\nspace GG = product(G, G)\ncheck theorem2 GG"
     rec = ex.execute(parse(text), config).checks[0]
     assert rec.verdict == "budget_exceeded"
+
+
+def test_execute_singular_lri_outcome_none():
+    text = ("space D = simplex(1)\nspace DD = product(D, D)\n"
+            "map T = [[0, 1, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]]\n"
+            "check lri T on DD")
+    rec = ex.execute(parse(text)).checks[0]
+    assert rec.certificate["outcome"] == "none"
