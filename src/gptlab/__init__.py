@@ -10,7 +10,7 @@ factorizations of transitive decomposable spaces, and blockwise conditional
 form on classical labels.
 """
 
-from .arith import Context, EXACT, float_context, rat
+from .arith import Context, EXACT, float_context
 from .config import BudgetExceededError, Budgets, DEFAULT_BUDGETS
 from .decompose import (
     ClassicalSubsystem,

@@ -79,7 +79,11 @@ class Context:
         return str(x) if self.exact else repr(x)
 
     def parse(self, text: str) -> Scalar:
-        """Read one coordinate (an integer or a 'p/q' string); ValueError if malformed."""
+        """Read one coordinate (an integer or a 'p/q' string, or a float in float
+        mode); ValueError if malformed."""
+        if isinstance(text, bool) or (self.exact and isinstance(text, float)):
+            raise ValueError(f"not a rational coordinate: {text!r} "
+                             "(write an integer or a 'p/q' string)")
         try:
             frac = Fraction(text)
         except (TypeError, ZeroDivisionError):
@@ -92,8 +96,3 @@ EXACT = Context("exact")
 
 def float_context(eps: float = 1e-9) -> Context:
     return Context("float", eps)
-
-
-def rat(value) -> Fraction:
-    """Shorthand used all over the test-suite and builders."""
-    return Fraction(value)

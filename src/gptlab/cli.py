@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -65,7 +66,7 @@ def demo_path() -> Path:
 
 
 def _config(args) -> RunConfig:
-    budgets = DEFAULT_BUDGETS.with_lri(args.budget)
+    budgets = replace(DEFAULT_BUDGETS, lri_assignments=args.budget)
     return RunConfig(mode=args.mode, eps=args.eps, budgets=budgets)
 
 
@@ -217,7 +218,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, json.JSONDecodeError, BudgetExceededError) as exc:
+    except (OSError, ValueError, KeyError, json.JSONDecodeError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,10 @@
 """Resource budgets for the exhaustive searches.
 
-Everything in this library is desk scale, but the brute-force enumerations
-(face subsets, symmetry search, interaction candidates, dual-vertex
-combinations) are exponential, so each carries a configurable cap.  Exceeding
-a cap raises or flags, never silently truncates.
+Everything in this library is desk scale, but the exhaustive searches
+(symmetry search, interaction candidates, active sets of the vertex routine
+behind facets, faces and effects) are exponential, so each carries a
+configurable cap.  Exceeding a cap raises or flags, never silently
+truncates.
 """
 
 from __future__ import annotations
@@ -17,13 +18,9 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class Budgets:
-    face_subsets: int = 2**16          # cap on 2^|V| face-candidate subsets
     group_nodes: int = 10**6           # symmetry search tree nodes
     lri_assignments: int = 10**7       # composite symmetries filtered as LRI candidates
-    effect_combinations: int = 10**6   # active-constraint choices for dual vertices
-
-    def with_lri(self, budget: int) -> "Budgets":
-        return Budgets(self.face_subsets, self.group_nodes, budget, self.effect_combinations)
+    active_sets: int = 10**6           # tight-constraint choices tried per vertex enumeration
 
 
 DEFAULT_BUDGETS = Budgets()

@@ -1,10 +1,10 @@
 """Exact-rational linear programming (phase-1 simplex) with certificates.
 
-Only feasibility problems are needed here: convex-hull membership and
-supporting-covector searches.  The simplex runs over the ambient arithmetic
-context, uses Bland's rule (termination without tolerances in exact mode) and
-returns a Farkas certificate whenever a system is infeasible, so every answer
-is independently checkable.
+The only problem solved here is feasibility: convex-hull membership.  The
+simplex runs over the ambient arithmetic context, uses Bland's rule
+(termination without tolerances in exact mode) and returns a Farkas
+certificate whenever a system is infeasible, so every answer is
+independently checkable.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .arith import EXACT, Context
-from .linalg import Vector, dot, vsub
+from .linalg import Vector, dot
 
 
 @dataclass(frozen=True)
@@ -163,42 +163,3 @@ def in_hull(p: Vector, gens: Sequence[Vector], ctx: Context = EXACT) -> HullMemb
     # y = (h, t) with h.g_i + t <= 0 for all i and h.p + t > 0.
     h = res.farkas[:d]
     return HullMembership(member=False, separating=h)
-
-
-def supporting_covector(gens: Sequence[Vector], subset: frozenset,
-                        ctx: Context = EXACT) -> Optional[tuple]:
-    """Covector whose maximum over gens is attained exactly on ``subset``.
-
-    Returns the covector h, or None when no such supporting functional
-    exists.  The full index set is always supported (h = 0); the empty set
-    is handled by the caller as a lattice convention.
-    """
-    n = len(gens)
-    if not subset or any(i < 0 or i >= n for i in subset):
-        raise ValueError("subset indices out of range")
-    if len(subset) == n:
-        return tuple(ctx.zero() for _ in gens[0])
-    d = len(gens[0])
-    anchor = min(subset)
-    g0 = gens[anchor]
-    inside = sorted(subset - {anchor})
-    outside = sorted(set(range(n)) - subset)
-    m_out = len(outside)
-    nvars = 2 * d + m_out  # h = hp - hm, plus one slack per strict constraint
-    a_rows = []
-    b = []
-    zero, one = ctx.zero(), ctx.one()
-    for i in inside:
-        diff = vsub(gens[i], g0)
-        a_rows.append(tuple(diff) + tuple(-x for x in diff) + tuple(zero for _ in range(m_out)))
-        b.append(zero)
-    for k, j in enumerate(outside):
-        diff = vsub(gens[j], g0)
-        slack = [zero] * m_out
-        slack[k] = one
-        a_rows.append(tuple(diff) + tuple(-x for x in diff) + tuple(slack))
-        b.append(-one)
-    res = solve_equality_feasibility(a_rows, tuple(b), nvars, ctx)
-    if not res.feasible:
-        return None
-    return tuple(res.x[i] - res.x[d + i] for i in range(d))

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .arith import EXACT, Context
-from .config import BudgetExceededError, DEFAULT_BUDGETS, Budgets
-from .linalg import Matrix, Vector, dot, independent_subset, kron, vec, veq
+from .config import DEFAULT_BUDGETS, Budgets
+from .geometry import active_set_vertices
+from .linalg import Matrix, Vector, dot, kron, vec, veq
 from .lp import HullMembership, in_hull
 
 
@@ -334,45 +335,8 @@ def extremal_effects(space: StateSpace, budgets: Budgets = DEFAULT_BUDGETS) -> l
     degenerate ambient coordinates cannot create spurious extremal effects.
     Always contains the zero effect and u.
     """
-    ctx = space.ctx
-    n = space.nvertices
-    p = Matrix.from_rows(space.vertices, ctx)  # n x d: value vector = p @ h
-    col_idx = independent_subset(p.cols(), ctx)
-    w_cols = [p.col(j) for j in col_idx]
-    r = len(w_cols)
-    w = Matrix.from_cols(w_cols, ctx)  # n x r, full column rank
-
-    total = 0
-    found = {}
-    one, zero = ctx.one(), ctx.zero()
-    # Constraint rows over y in R^r: w_i . y >= 0 and w_i . y <= 1.
-    for combo in itertools.combinations(range(2 * n), r):
-        total += 1
-        if total > budgets.effect_combinations:
-            raise BudgetExceededError(
-                f"extremal effect enumeration exceeded {budgets.effect_combinations} combinations"
-            )
-        rows = []
-        rhs = []
-        for c in combo:
-            i = c % n
-            rows.append(w.rows[i])
-            rhs.append(zero if c < n else one)
-        sub = Matrix(tuple(rows), ctx)
-        if sub.rank() < r:
-            continue
-        y = sub.solve(tuple(rhs))
-        if y is None:
-            continue
-        x = w.apply(y)
-        if all(ctx.le(zero, xi) and ctx.le(xi, one) for xi in x):
-            found[tuple(ctx.key(v) for v in x)] = tuple(x)
-
-    effects = []
-    for x in sorted(found.values()):
-        h = p.solve(x)
-        effects.append(Effect(space, tuple(h), tuple(x)))
-    return effects
+    return [Effect(space, h, x) for h, x in active_set_vertices(
+        space.vertices, space.ctx, upper=space.ctx.one(), budgets=budgets)]
 
 
 # -- distributivity ----------------------------------------------------------
@@ -425,14 +389,14 @@ def space_from_json(data, ctx: Context = EXACT) -> StateSpace:
         data = json.loads(data)
     if not isinstance(data, dict):
         raise ValueError("a state space must be a JSON object")
-    verts, u = data.get("vertices"), data.get("unit_effect")
+    verts, u, dim = data.get("vertices"), data.get("unit_effect"), data.get("ambient_dim")
     if not (isinstance(verts, list) and all(isinstance(v, list) for v in verts)
-            and isinstance(u, list)):
-        raise ValueError("a state space needs 'vertices' (a list of coordinate lists) "
-                         "and 'unit_effect' (a coordinate list)")
+            and isinstance(u, list) and type(dim) is int):
+        raise ValueError("a state space needs 'vertices' (a list of coordinate lists), "
+                         "'unit_effect' (a coordinate list) and 'ambient_dim' (an integer)")
     verts = [[ctx.parse(x) for x in v] for v in verts]
     u = [ctx.parse(x) for x in u]
     space = make_space(verts, u, label=data.get("label", ""), ctx=ctx)
-    if space.ambient_dim != data["ambient_dim"]:
+    if space.ambient_dim != dim:
         raise ValueError("ambient_dim does not match the coordinates")
     return space

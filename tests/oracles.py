@@ -10,6 +10,7 @@ sizes.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from gptlab.linalg import Matrix, dot
@@ -68,9 +69,12 @@ def grid_supported_subsets(gens, bound=2):
     face family (minus the empty face).
     """
     d = len(gens[0])
+    # one positive common scale keeps every argmax set and makes the points integral
+    den = math.lcm(*(Fraction(x).denominator for g in gens for x in g))
+    points = [tuple(int(Fraction(x) * den) for x in g) for g in gens]
     subsets = set()
     for h in itertools.product(range(-bound, bound + 1), repeat=d):
-        values = [dot(h, g) for g in gens]
+        values = [sum(a * b for a, b in zip(h, p)) for p in points]
         top = max(values)
         subsets.add(tuple(i for i, v in enumerate(values) if v == top))
     return subsets

@@ -166,3 +166,37 @@ def test_run_evaluation_error_has_location(tmp_path, text, loc):
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: {loc}: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["run"], ["--json", "decompose"]], ids=["run", "decompose"])
+def test_directory_path_exits_two(tmp_path, capsys, argv):
+    from gptlab import cli
+
+    assert cli.main([*argv, str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+_D1 = space_to_json(ss.simplex(1))
+
+
+@pytest.mark.parametrize("data, message", [
+    (dict(_D1, vertices=[[1.0, 0], [0, 1]]), "not a rational coordinate: 1.0"),
+    (dict(_D1, vertices=[[True, False], [False, True]]), "not a rational coordinate: True"),
+    ({k: v for k, v in _D1.items() if k != "ambient_dim"}, "'ambient_dim' (an integer)"),
+], ids=["float", "boolean", "missing-ambient-dim"])
+def test_exact_space_file_rejects_non_rational_json(tmp_path, capsys, data, message):
+    from gptlab import cli
+
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["decompose", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+def test_float_mode_reads_json_floats(tmp_path):
+    from gptlab import cli
+
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(dict(_D1, vertices=[[1.0, 0.0], [0.0, 1.0]], unit_effect=[1.0, 1.0])))
+    assert cli.main(["--mode", "float", "decompose", str(path)]) == 0

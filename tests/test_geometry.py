@@ -5,6 +5,7 @@ import pytest
 from gptlab.config import Budgets, BudgetExceededError
 from gptlab.geometry import face_lattice, is_face, join
 from gptlab.linalg import dot
+from gptlab.statespace import cross, cube, direct_sum, gbit, min_tensor, point, simplex
 from oracles import grid_supported_subsets
 
 SEGMENT = [(1, 0), (0, 1)]
@@ -26,6 +27,13 @@ def test_square_edge_versus_diagonal():
     assert ok
     ok, _ = is_face(SQUARE, {0, 3})  # opposite corners
     assert not ok
+    ok, h = is_face(SQUARE, {2, 3})  # shared x = +1: the certificate supports it
+    values = [dot(h, g) for g in SQUARE]
+    assert ok and {i for i, v in enumerate(values) if v == max(values)} == {2, 3}
+
+
+def test_full_set_is_face_with_zero_covector():
+    assert is_face(SEGMENT, {0, 1}) == (True, (0, 0))
 
 
 @pytest.mark.parametrize("gens,expected", [(SEGMENT, 4), (TRIANGLE, 8), (SQUARE, 10)])
@@ -34,10 +42,15 @@ def test_face_counts(gens, expected):
 
 
 def test_face_lattice_matches_grid_oracle():
-    for gens in (SEGMENT, TRIANGLE, SQUARE):
+    for gens in (SEGMENT, TRIANGLE, SQUARE, cube(3).vertices, cross(3).vertices,
+                 cross(4).vertices, simplex(3).vertices, min_tensor(gbit(), simplex(1)).vertices,
+                 direct_sum(gbit(), point()).vertices):
         lattice = face_lattice(gens)
         got = {f.indices for f in lattice.faces} - {()}
         assert got == grid_supported_subsets(gens)
+        for f in lattice.faces[1:]:  # each covector is maximal exactly on its face
+            values = [dot(f.covector, g) for g in gens]
+            assert {i for i, v in enumerate(values) if v == max(values)} == set(f.indices)
 
 
 def test_face_lattice_cross_check_exhaustive():
@@ -102,7 +115,7 @@ def test_lattice_bounds():
 
 def test_face_enumeration_budget_guard():
     with pytest.raises(BudgetExceededError):
-        face_lattice(SQUARE, budgets=Budgets(face_subsets=8))
+        face_lattice(SQUARE, budgets=Budgets(active_sets=2))
 
 
 def test_face_ordering_deterministic():
@@ -117,17 +130,19 @@ def test_empty_subset_is_face_by_convention():
 
 
 def test_cube3_face_count():
-    from gptlab.statespace import cube
     lattice = face_lattice(cube(3).vertices)
     # empty + 8 vertices + 12 edges + 6 facets + full
     assert lattice.counts_by_cardinality() == {0: 1, 1: 8, 2: 12, 4: 6, 8: 1}
     assert len(lattice) == 28
 
 
+def test_cube4_face_count():
+    lattice = face_lattice(cube(4).vertices)
+    assert lattice.counts_by_cardinality() == {0: 1, 1: 16, 2: 32, 4: 24, 8: 8, 16: 1}
+
+
 def test_cube3_exhaustive_is_face_cross_check():
     # nothing outside the enumerated lattice passes is_face (8 vertices)
-    from gptlab.statespace import cube
-
     gens = cube(3).vertices
     lattice = face_lattice(gens)
     inside = {f.indices for f in lattice.faces}

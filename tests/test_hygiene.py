@@ -1,17 +1,25 @@
-"""Source hygiene: every name a library module imports is used in that module.
+"""Source hygiene: every name a library module imports is used in that
+module, and every module-level function and class is referenced somewhere.
 
 ``__init__.py`` is left out, since its imports are the package's re-exports.
-A name counts as used when it is read anywhere in the module, named in a
-string annotation, or listed in ``__all__``.
+An imported name counts as used when it is read anywhere in the module, named
+in a string annotation, or listed in ``__all__``.  A definition counts as
+referenced when a file of ``src/``, ``tests/`` or ``benchmark/`` reads its
+name, as a name or an attribute, or spells it as a whole string (as the
+benchmark's tracer names functions); imports, ``__all__`` lists and the
+definition itself do not count.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gptlab"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "gptlab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SEARCHED = [*MODULES, *(ROOT / "tests").glob("*.py"), *(ROOT / "benchmark").glob("*.py")]
 
 
 def _imported(tree: ast.Module) -> dict:
@@ -53,3 +61,33 @@ def test_every_import_is_used(path):
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports (name: line) {unused}"
+
+
+@functools.cache
+def _referenced() -> set:
+    names = set()
+    for path in SEARCHED:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exported = {id(e) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                    for e in ast.walk(node.value)}
+        for node in ast.walk(tree):
+            if id(node) in exported:
+                continue
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_definition_is_referenced(path):
+    referenced = _referenced()
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unreferenced = {node.name: node.lineno for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name not in referenced}
+    assert not unreferenced, f"{path.name}: definitions nothing references (name: line) {unreferenced}"

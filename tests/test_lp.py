@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gptlab.lp import in_hull, supporting_covector
+from gptlab.lp import in_hull
 from oracles import fm_in_hull
 
 
@@ -48,21 +48,6 @@ def test_in_hull_agrees_with_fourier_motzkin():
         res = in_hull(p, gens)
         assert res.member == fm_in_hull(p, gens)
         assert res.verify(p, gens)
-
-
-def test_supporting_covector_square_edge_and_diagonal():
-    gens = [(-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1)]
-    edge = supporting_covector(gens, frozenset({2, 3}))
-    assert edge is not None
-    values = [sum(a * b for a, b in zip(edge, g)) for g in gens]
-    top = max(values)
-    assert {i for i, v in enumerate(values) if v == top} == {2, 3}
-    assert supporting_covector(gens, frozenset({0, 3})) is None  # opposite corners
-
-
-def test_supporting_covector_full_set_is_zero():
-    gens = [(0, 1), (1, 0)]
-    assert supporting_covector(gens, frozenset({0, 1})) == (0, 0)
 
 
 def test_certificates_reverify_on_larger_random_instances():

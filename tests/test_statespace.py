@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gptlab import statespace as ss
+from gptlab.config import BudgetExceededError, Budgets
 from gptlab.linalg import Matrix, dot, kron, span_rank
 
 
@@ -202,6 +203,13 @@ def test_extremal_effects_gbit_frozen():
         (1, 1, 0, 0),
         (1, 1, 1, 1),
     ]
+
+
+def test_extremal_effects_budget_guard():
+    # gbit: choosing 3 tight bounds out of 8 gives 56 active sets
+    with pytest.raises(BudgetExceededError, match="56 active sets"):
+        ss.extremal_effects(ss.gbit(), Budgets(active_sets=55))
+    assert len(ss.extremal_effects(ss.gbit(), Budgets(active_sets=56))) == 6
 
 
 def test_extremal_effects_in_range_with_witness():
