@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gptlab.geometry import is_face
 from gptlab.lp import in_hull
 from oracles import fm_in_hull
 
@@ -48,6 +49,17 @@ def test_in_hull_agrees_with_fourier_motzkin():
         res = in_hull(p, gens)
         assert res.member == fm_in_hull(p, gens)
         assert res.verify(p, gens)
+
+
+def test_supporting_covector_square_edge_and_diagonal():
+    # The supporting covector of a face is the certificate is_face returns.
+    gens = [(-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1)]
+    ok, edge = is_face(gens, frozenset({2, 3}))
+    assert ok and edge is not None
+    values = [sum(a * b for a, b in zip(edge, g)) for g in gens]
+    top = max(values)
+    assert {i for i, v in enumerate(values) if v == top} == {2, 3}
+    assert is_face(gens, frozenset({0, 3})) == (False, None)  # opposite corners
 
 
 def test_certificates_reverify_on_larger_random_instances():
