@@ -1,9 +1,9 @@
 """Resource budgets for the exhaustive searches.
 
 Everything in this library is desk scale, but the exhaustive searches
-(symmetry search, interaction candidates, active sets of the vertex routine
-behind facets, faces and effects) are exponential, so each carries a
-configurable cap.  Exceeding a cap raises or flags, never silently
+(symmetry search, interaction candidates, the rays of the double-description
+routine behind facets, faces, vertex checks and effects) are exponential, so
+each carries a configurable cap.  Exceeding a cap raises or flags, never silently
 truncates.
 """
 
@@ -20,7 +20,7 @@ class BudgetExceededError(RuntimeError):
 class Budgets:
     group_nodes: int = 10**6           # symmetry search tree nodes
     lri_assignments: int = 10**7       # composite symmetries filtered as LRI candidates
-    active_sets: int = 10**6           # tight-constraint choices tried per vertex enumeration
+    dd_rays: int = 10**4               # rays held at once by one double-description run
 
 
 DEFAULT_BUDGETS = Budgets()

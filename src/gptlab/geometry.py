@@ -1,20 +1,20 @@
-"""Convex-polytope combinatorics: vertices of inequality systems, facets,
-faces, the face lattice and joins.
+"""Convex-polytope combinatorics: extreme rays of cones, facets, faces, the
+face lattice and joins.
 
 A face is identified with the set of vertex indices on which some covector
 attains its maximum; the empty set and the full set are faces by convention.
 Every nonempty face is an intersection of facets, and the facets of conv(gens)
-are the vertices of the cone {h : h(g, 1) >= 0 for all g} cut by one
-normalizing equation.  One active-set routine, :func:`active_set_vertices`,
-finds those vertices, and the extremal effects of a state space too; its
-choices of tight constraints are capped by ``Budgets.active_sets``.
+are the extreme rays of the cone {h : h(g, 1) >= 0 for all g}.  One
+double-description routine, :func:`extreme_rays`, finds those rays, and the
+extremal effects of a state space too; the rays it holds at once are capped
+by ``Budgets.dd_rays``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from math import comb
+from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .arith import EXACT, Context
@@ -27,67 +27,130 @@ __all__ = [
     "FaceLattice",
     "in_hull",
     "HullMembership",
-    "active_set_vertices",
+    "extreme_rays",
+    "column_basis",
+    "extreme_indices",
     "is_face",
     "face_lattice",
     "join",
 ]
 
 
-def active_set_vertices(points: Sequence[Vector], ctx: Context = EXACT, upper=None,
-                        equations: Sequence = (), budgets: Budgets = DEFAULT_BUDGETS) -> list:
-    """Vertices of {h : 0 <= h(p) (<= upper) for every p in points}, with each
-    equation (a, b), meaning h(a) = b, held tight.
+def extreme_rays(rows: Sequence[Vector], ctx: Context = EXACT,
+                 budgets: Budgets = DEFAULT_BUDGETS) -> list:
+    """Extreme rays of the pointed cone {x : a(x) >= 0 for every row a}.
 
-    Covectors are taken on a greedy basis of the points' coordinate columns
-    and zero elsewhere (the representative ``Matrix.solve`` picks), so the
-    set is pointed and each vertex solves r independent tight constraints:
-    the equations plus r - len(equations) of the bounds.  Every such choice of
-    bounds is tried, and each feasible solution is kept once by ``ctx.key``
-    of its values.  Returns (h, values on points) pairs sorted by values.
+    Motzkin's double description: the rays of the simplicial cone cut by a
+    greedy set of d independent rows are the columns of its inverse; each
+    remaining row a then keeps the rays with a(x) >= 0 and adds
+    a(p) n - a(n) p for every pair with a(p) > 0 > a(n) that is adjacent.  A
+    pair is adjacent when no third ray vanishes on every row, so far, that both
+    vanish on; these zero sets are int bitmasks over the rows.  In exact mode
+    the rows are scaled to integers once and every ray is a primitive integer
+    vector (returned as Fractions); in float mode rays are scaled to max-norm
+    1 and ``ctx`` decides the signs.  Raises ValueError when the rows do not
+    span (the cone is not pointed) and BudgetExceededError when more than
+    ``budgets.dd_rays`` rays are held at once.
+    """
+    rows = Matrix.from_rows(rows, ctx).rows
+    d = len(rows[0])
+    basis = independent_subset(rows, ctx)
+    if len(basis) < d:
+        raise ValueError("the rows do not span, so the cone is not pointed")
+    if d > budgets.dd_rays:
+        raise BudgetExceededError(
+            f"double description holds {d} rays, cap is {budgets.dd_rays}")
+    norm = _primitive if ctx.exact else _unit
+    scaled = [norm(a) for a in rows]
+    inverse = Matrix(tuple(rows[i] for i in basis), ctx).inverse()
+    tight = sum(1 << i for i in basis)
+    rays = [(norm(c), tight & ~(1 << i)) for i, c in zip(basis, inverse.cols())]
+    for k in sorted(set(range(len(rows))) - set(basis)):
+        a, bit = scaled[k], 1 << k
+        plus, minus, kept = [], [], []
+        for ray, zeros in rays:
+            s = sum(map(mul, a, ray))
+            side = ctx.sign(s)
+            if side > 0:
+                plus.append((ray, zeros, s))
+                kept.append((ray, zeros))
+            elif side < 0:
+                minus.append((ray, zeros, s))
+            else:
+                kept.append((ray, zeros | bit))
+        zero_sets = [zeros for _, zeros in rays]
+        for p, zp, sp in plus:
+            for n, zn, sn in minus:
+                common = zp & zn
+                if common.bit_count() < d - 2 or not _adjacent(common, zero_sets):
+                    continue
+                kept.append((norm(tuple(sp * x - sn * y for x, y in zip(n, p))), common | bit))
+                if len(kept) > budgets.dd_rays:
+                    raise BudgetExceededError(
+                        f"double description holds {len(kept)} rays, cap is {budgets.dd_rays}")
+        rays = kept
+    return [tuple(map(ctx.num, ray)) for ray, _ in rays]
+
+
+def _adjacent(common: int, zero_sets: list) -> bool:
+    """True when no zero set but the pair's own two contains ``common``."""
+    count = 0
+    for zeros in zero_sets:
+        if zeros & common == common:
+            count += 1
+            if count > 2:
+                return False
+    return True
+
+
+def _primitive(v: Vector) -> tuple:
+    """The positive multiple of a rational vector with coprime integer entries."""
+    den = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    g = gcd(*ints) or 1
+    return tuple(x // g for x in ints)
+
+
+def _unit(v: Vector) -> tuple:
+    """The positive multiple of a float vector with largest entry 1 in size."""
+    m = max(abs(x) for x in v) or 1.0
+    return tuple(x / m for x in v)
+
+
+def column_basis(points: Sequence[Vector], ctx: Context = EXACT) -> tuple:
+    """(W, S) for a greedy basis of the points' coordinate columns: S is the
+    0/1 matrix selecting those columns and W the points restricted to them.
+
+    W has full column rank, so a covector y on the basis is fixed by its
+    values W y on the points, and ``S.left_apply(y)`` is the covector with
+    those values that vanishes off the basis.
     """
     p = Matrix.from_rows(points, ctx)
-    cols = independent_subset(p.cols(), ctx)
-    w = Matrix.from_cols([p.col(j) for j in cols], ctx)  # full column rank r
-    zero, r = ctx.zero(), len(cols)
-    bounds = [row + (zero,) for row in w.rows]
-    if upper is not None:
-        bounds += [row + (upper,) for row in w.rows]
-    fixed = [tuple(a[j] for j in cols) + (b,) for a, b in equations]
-    tries = comb(len(bounds), r - len(fixed))
-    if tries > budgets.active_sets:
-        raise BudgetExceededError(
-            f"vertex enumeration needs {tries} active sets, cap is {budgets.active_sets}")
-    found = {}
-    for combo in itertools.combinations(bounds, r - len(fixed)):
-        red, pivots = Matrix(combo + tuple(fixed), ctx).rref()
-        if pivots != tuple(range(r)):
-            continue  # the tight constraints do not determine a point
-        y = tuple(row[r] for row in red.rows)
-        x = w.apply(y)
-        if all(ctx.le(zero, xi) and (upper is None or ctx.le(xi, upper)) for xi in x):
-            h = [zero] * p.ncols
-            for j, yj in zip(cols, y):
-                h[j] = yj
-            found[tuple(ctx.key(v) for v in x)] = (tuple(h), x)
-    return sorted(found.values(), key=lambda pair: pair[1])
+    one, zero = ctx.one(), ctx.zero()
+    select = Matrix(tuple(tuple(one if k == j else zero for k in range(p.ncols))
+                          for j in independent_subset(p.cols(), ctx)), ctx)
+    return p @ select.transpose(), select
 
 
 def _facets(gens: Sequence[Vector], ctx: Context, budgets: Budgets) -> list:
     """(vertex set, covector) per facet of conv(gens).
 
-    Each point g is lifted to (g, 1); a facet is a vertex h of the lifted
-    points' dual cone normalized by h(sum of lifted points) = 1, and its
-    vertex set is where h vanishes.  The covector -h on the point
-    coordinates attains its maximum over gens exactly there.
+    Each point g is lifted to (g, 1); a facet is an extreme ray h of the
+    lifted points' dual cone normalized by h(sum of lifted points) = 1, and
+    its vertex set is where h vanishes.  The covector -h on the point
+    coordinates attains its maximum over gens exactly there.  Facets come
+    sorted by their values on the lifted points.
     """
-    one = ctx.one()
-    lifted = [tuple(g) + (one,) for g in gens]
-    total = tuple(sum(col, ctx.zero()) for col in zip(*lifted))
-    return [(frozenset(i for i, v in enumerate(values) if ctx.is_zero(v)),
-             tuple(-x for x in h[:-1]))
-            for h, values in active_set_vertices(lifted, ctx, equations=[(total, one)],
-                                                 budgets=budgets)]
+    w, select = column_basis([tuple(g) + (ctx.one(),) for g in gens], ctx)
+    found = []
+    for ray in extreme_rays(w.rows, ctx, budgets):
+        values = w.apply(ray)
+        total = sum(values, ctx.zero())
+        h = select.left_apply(tuple(y / total for y in ray))
+        found.append((tuple(v / total for v in values), tuple(-x for x in h[:-1])))
+    found.sort(key=lambda pair: pair[0])
+    return [(frozenset(i for i, v in enumerate(values) if ctx.is_zero(v)), h)
+            for values, h in found]
 
 
 def _support(facets: list, indices: frozenset, gens: Sequence[Vector], ctx: Context) -> tuple:
@@ -100,6 +163,15 @@ def _support(facets: list, indices: frozenset, gens: Sequence[Vector], ctx: Cont
             closure &= vertex_set
             covector = tuple(a + b for a, b in zip(covector, h))
     return closure, covector
+
+
+def extreme_indices(gens: Sequence[Vector], ctx: Context = EXACT,
+                    budgets: Budgets = DEFAULT_BUDGETS) -> list:
+    """Indices of the points of a duplicate-free list that are vertices of
+    their hull: those whose facet closure is the point alone."""
+    facets = _facets(gens, ctx, budgets)
+    return [i for i in range(len(gens))
+            if _support(facets, frozenset({i}), gens, ctx)[0] == {i}]
 
 
 @dataclass(frozen=True)
@@ -119,7 +191,8 @@ class Face:
         return (len(self.indices), self.indices)
 
 
-def is_face(gens: Sequence[Vector], subset, ctx: Context = EXACT):
+def is_face(gens: Sequence[Vector], subset, ctx: Context = EXACT,
+            budgets: Budgets = DEFAULT_BUDGETS):
     """Decide the face condition for a vertex-index subset.
 
     Returns (verdict, covector).  The subset is a face when it equals the
@@ -133,7 +206,7 @@ def is_face(gens: Sequence[Vector], subset, ctx: Context = EXACT):
         raise ValueError("subset indices out of range")
     if not idx:
         return True, None
-    closure, h = _support(_facets(gens, ctx, DEFAULT_BUDGETS), idx, gens, ctx)
+    closure, h = _support(_facets(gens, ctx, budgets), idx, gens, ctx)
     if closure != idx:
         return False, None
     return True, h
@@ -185,8 +258,8 @@ def face_lattice(gens: Sequence[Vector], ctx: Context = EXACT,
     intersection with facets, plus the empty face.
 
     Deterministic: faces come out sorted by (cardinality, lex index set).
-    Raises BudgetExceededError when the facet search needs more active sets
-    than the configured cap.
+    Raises BudgetExceededError when the facet search holds more rays than the
+    configured cap.
     """
     n = len(gens)
     if not n:

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .arith import EXACT, Context
 from .config import DEFAULT_BUDGETS, Budgets
-from .geometry import active_set_vertices
+from .geometry import column_basis, extreme_indices, extreme_rays
 from .linalg import Matrix, Vector, dot, kron, vec, veq
 from .lp import HullMembership, in_hull
 
@@ -135,18 +135,13 @@ def make_space(vertices: Sequence[Sequence], u: Sequence, label: str = "",
             unique.append(p)
 
     pts = unique
-    changed = True
-    while changed and len(pts) > 1:
-        changed = False
-        for i, p in enumerate(pts):
-            others = pts[:i] + pts[i + 1:]
-            if in_hull(p, others, ctx).member:
-                if not reduce:
-                    raise ValueError(f"vertex {p} is not extremal")
-                removed.append(p)
-                pts = others
-                changed = True
-                break
+    if len(pts) > 1:
+        extreme = set(extreme_indices(pts, ctx))
+        interior = [p for i, p in enumerate(pts) if i not in extreme]
+        if interior and not reduce:
+            raise ValueError(f"vertex {interior[0]} is not extremal")
+        removed += interior
+        pts = [p for i, p in enumerate(pts) if i in extreme]
 
     return _assemble(label, pts, uvec, ctx, reduced_away=tuple(removed))
 
@@ -329,14 +324,27 @@ def pr_box_state() -> tuple:
 
 
 def extremal_effects(space: StateSpace, budgets: Budgets = DEFAULT_BUDGETS) -> list:
-    """Vertices of the dual effect polytope {0 <= e(v) <= 1 on all vertices}.
+    """Vertices of the dual effect polytope {0 <= e(v) <= 1 on all vertices},
+    sorted by (the ``ctx.key`` of) their values on the vertices.
 
     Effects are restricted to the dual of the states' linear span, so
     degenerate ambient coordinates cannot create spurious extremal effects.
-    Always contains the zero effect and u.
+    They are the rays with t > 0 of the cone {(h, t) : h(v) >= 0,
+    t - h(v) >= 0, t >= 0}, normalized to t = 1.  Always contains the zero
+    effect and u.
     """
-    return [Effect(space, h, x) for h, x in active_set_vertices(
-        space.vertices, space.ctx, upper=space.ctx.one(), budgets=budgets)]
+    ctx = space.ctx
+    zero, one = ctx.zero(), ctx.one()
+    w, select = column_basis(space.vertices, ctx)
+    rows = ([row + (zero,) for row in w.rows]
+            + [tuple(-x for x in row) + (one,) for row in w.rows]
+            + [(zero,) * w.ncols + (one,)])
+    effects = []
+    for ray in extreme_rays(rows, ctx, budgets):
+        if ctx.sign(ray[-1]) > 0:
+            h = tuple(x / ray[-1] for x in ray[:-1])
+            effects.append(Effect(space, select.left_apply(h), w.apply(h)))
+    return sorted(effects, key=lambda e: tuple(map(ctx.key, e.values)))
 
 
 # -- distributivity ----------------------------------------------------------

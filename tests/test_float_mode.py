@@ -13,7 +13,7 @@ from gptlab.arith import float_context
 from gptlab.dynamics import is_transitive, reversible_maps
 from gptlab.geometry import face_lattice, is_face
 from gptlab.lp import in_hull
-from gptlab.statespace import make_space
+from gptlab.statespace import extremal_effects, make_space
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +49,25 @@ def test_pentagon_edge_is_face(pentagon):
 def test_pentagon_face_lattice(pentagon):
     lattice = face_lattice(pentagon.vertices, pentagon.ctx)
     assert len(lattice) == 12  # empty + 5 vertices + 5 edges + full
+
+
+def test_pentagon_extremal_effects(pentagon):
+    # 12 effects: zero, u, and five rotations each of two shapes, with values
+    # 0, 1, 1/phi and 1/phi^2 (as the tight-constraint enumeration gave them)
+    a, b = (math.sqrt(5) - 1) / 2, (3 - math.sqrt(5)) / 2
+    expected = [
+        (0, 0, 0, 0, 0), (0, 0, a, a, 1), (0, a, 0, 1, a), (0, b, b, 1, 1),
+        (b, 1, 0, 1, b), (b, 0, 1, b, 1), (a, 0, 1, 0, a), (a, 1, 0, a, 0),
+        (1, 1, b, b, 0), (1, b, 1, 0, b), (1, a, a, 0, 0), (1, 1, 1, 1, 1),
+    ]
+    effects = extremal_effects(pentagon)
+
+    def rounded(values):
+        return tuple(round(v, 9) + 0.0 for v in values)
+
+    assert sorted(rounded(e.values) for e in effects) == sorted(map(rounded, expected))
+    for e in effects:
+        assert all(abs(e(v) - x) <= 1e-9 for v, x in zip(pentagon.vertices, e.values))
 
 
 def test_pentagon_dihedral_group(pentagon):

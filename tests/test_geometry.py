@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from gptlab.config import Budgets, BudgetExceededError
-from gptlab.geometry import face_lattice, is_face, join
+from gptlab.geometry import extreme_rays, face_lattice, is_face, join
 from gptlab.linalg import dot
 from gptlab.statespace import cross, cube, direct_sum, gbit, min_tensor, point, simplex
 from oracles import grid_supported_subsets
@@ -112,7 +112,10 @@ def test_lattice_bounds():
 
 def test_face_enumeration_budget_guard():
     with pytest.raises(BudgetExceededError):
-        face_lattice(SQUARE, budgets=Budgets(active_sets=2))
+        face_lattice(SQUARE, budgets=Budgets(dd_rays=2))
+    with pytest.raises(BudgetExceededError, match="cap is 2"):
+        is_face(SQUARE, {0, 1}, budgets=Budgets(dd_rays=2))
+    assert is_face(SQUARE, {0, 1}, budgets=Budgets(dd_rays=4))[0]
 
 
 def test_face_ordering_deterministic():
@@ -147,3 +150,55 @@ def test_cube3_exhaustive_is_face_cross_check():
         for combo in itertools.combinations(range(len(gens)), size):
             ok, _ = is_face(gens, combo)
             assert ok == (tuple(combo) in inside)
+
+
+# The 24 facets of gbit (x) gbit as vertex-index sets, frozen from the
+# tight-constraint enumeration that preceded the double description routine.
+GBIT_GBIT_FACETS = [
+    (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13), (0, 1, 2, 3, 4, 5, 6, 7, 10, 11, 14, 15),
+    (0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 12, 13), (0, 1, 2, 3, 4, 6, 8, 10),
+    (0, 1, 2, 3, 5, 7, 9, 11), (0, 1, 2, 3, 6, 7, 8, 9, 10, 11, 14, 15),
+    (0, 1, 2, 4, 5, 6, 8, 10, 11, 12, 14, 15), (0, 1, 2, 5, 6, 7, 8, 9, 11, 12, 14, 15),
+    (0, 1, 3, 4, 5, 7, 9, 10, 11, 13, 14, 15), (0, 1, 3, 4, 6, 7, 8, 9, 10, 13, 14, 15),
+    (0, 1, 4, 5, 6, 7, 8, 9, 12, 13, 14, 15), (0, 1, 4, 5, 8, 9, 10, 11, 12, 13, 14, 15),
+    (0, 2, 3, 4, 5, 7, 9, 10, 11, 12, 13, 14), (0, 2, 3, 4, 6, 7, 8, 9, 10, 12, 13, 14),
+    (0, 2, 4, 5, 6, 7, 12, 14), (0, 2, 8, 9, 10, 11, 12, 14),
+    (1, 2, 3, 4, 5, 6, 8, 10, 11, 12, 13, 15), (1, 2, 3, 5, 6, 7, 8, 9, 11, 12, 13, 15),
+    (1, 3, 4, 5, 6, 7, 13, 15), (1, 3, 8, 9, 10, 11, 13, 15),
+    (2, 3, 4, 5, 6, 7, 10, 11, 12, 13, 14, 15), (2, 3, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+    (4, 6, 8, 10, 12, 13, 14, 15), (5, 7, 9, 11, 12, 13, 14, 15),
+]
+
+
+def _facets_of(lattice):
+    """The proper faces that no other proper face contains."""
+    proper = [set(f.indices) for f in lattice.faces[1:-1]]
+    return sorted(tuple(sorted(f)) for f in proper if not any(f < g for g in proper))
+
+
+def test_gbit_gbit_facets_and_face_count():
+    g = gbit()
+    gg = min_tensor(g, g)
+    lattice = face_lattice(gg.vertices)
+    assert len(lattice) == 2722
+    assert lattice.counts_by_cardinality() == {
+        0: 1, 1: 16, 2: 104, 3: 352, 4: 656, 5: 704, 6: 480, 7: 208, 8: 120, 9: 32,
+        10: 32, 12: 16, 16: 1}
+    facets = _facets_of(lattice)
+    assert facets == GBIT_GBIT_FACETS
+    # h_A (x) h_B of two gbit facet covectors vanishes where either factor does
+    g_facets = _facets_of(face_lattice(g.vertices))
+    products = {tuple(k for k, (i, j) in enumerate(gg.product_index) if i in fa or j in fb)
+                for fa in g_facets for fb in g_facets}
+    assert len(products) == 16 and products <= set(facets)
+    assert [len(f) for f in facets if f not in products] == [8] * 8
+
+
+def test_extreme_rays_of_simple_cones():
+    # the orthant, and a square cone over four rows
+    assert sorted(extreme_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)])) == [
+        (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert sorted(extreme_rays([(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)])) == [
+        (-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1)]
+    with pytest.raises(ValueError, match="not pointed"):
+        extreme_rays([(1, 0, 0), (0, 1, 0)])

@@ -20,6 +20,16 @@ def test_make_space_rejects_interior_point():
         ss.make_space([(1, 0), (0, 1), (Fraction(1, 2), Fraction(1, 2))], (1, 1))
 
 
+def test_make_space_interior_points_in_input_order():
+    # the centre and an edge midpoint of a square
+    square = [(-1, -1, 1), (-1, 1, 1), (0, 0, 1), (1, -1, 1), (1, 1, 1), (1, 0, 1)]
+    with pytest.raises(ValueError, match=r"vertex \(Fraction\(0, 1\), Fraction\(0, 1\)"):
+        ss.make_space(square, (0, 0, 1))
+    s = ss.make_space(square, (0, 0, 1), reduce=True)
+    assert s.vertices == ss.gbit().vertices
+    assert s.reduced_away == ((0, 0, 1), (1, 0, 1))
+
+
 def test_make_space_reduce_reports_interior():
     s = ss.make_space([(1, 0), (0, 1), (Fraction(1, 2), Fraction(1, 2))], (1, 1),
                       reduce=True)
@@ -206,21 +216,40 @@ def test_extremal_effects_gbit_frozen():
 
 
 def test_extremal_effects_budget_guard():
-    # gbit: choosing 3 tight bounds out of 8 gives 56 active sets
-    with pytest.raises(BudgetExceededError, match="56 active sets"):
-        ss.extremal_effects(ss.gbit(), Budgets(active_sets=55))
-    assert len(ss.extremal_effects(ss.gbit(), Budgets(active_sets=56))) == 6
+    # gbit: the double description of its effect cone holds at most 7 rays
+    with pytest.raises(BudgetExceededError, match="holds 7 rays, cap is 6"):
+        ss.extremal_effects(ss.gbit(), Budgets(dd_rays=6))
+    assert len(ss.extremal_effects(ss.gbit(), Budgets(dd_rays=7))) == 6
 
 
 def test_extremal_effects_in_range_with_witness():
-    for space in (ss.simplex(2), ss.gbit(), ss.cross(2)):
+    for space in (ss.simplex(2), ss.gbit(), ss.cross(2), ss.cube(3), ss.cross(3),
+                  ss.min_tensor(ss.gbit(), ss.simplex(1))):
         effs = ss.extremal_effects(space)
         one, zero = Fraction(1), Fraction(0)
+        r = span_rank(space.vertices)
         for e in effs:
             assert all(zero <= v <= one for v in e.values)
+            assert e.values == tuple(dot(e.covector, v) for v in space.vertices)
             if e.values not in (tuple([zero] * space.nvertices),
                                 tuple([one] * space.nvertices)):
                 assert any(v in (zero, one) for v in e.values)
+            # vertex certificate: the bounds tight at e pin it down
+            tight = [v for v, x in zip(space.vertices, e.values) if x in (zero, one)]
+            assert span_rank(tight) == r
+
+
+def test_extremal_effects_gbit_simplex1_frozen():
+    # the 36 value vectors, frozen from the tight-constraint enumeration that
+    # preceded the double description routine
+    effs = ss.extremal_effects(ss.min_tensor(ss.gbit(), ss.simplex(1)))
+    assert ["".join(str(v) for v in e.values) for e in effs] == [
+        "00000000", "00000011", "00001100", "00001111", "00010100", "00010111",
+        "00101000", "00101011", "00110000", "00110011", "00111100", "00111111",
+        "01000001", "01001101", "01010101", "01101001", "01110001", "01111101",
+        "10000010", "10001110", "10010110", "10101010", "10110010", "10111110",
+        "11000000", "11000011", "11001100", "11001111", "11010100", "11010111",
+        "11101000", "11101011", "11110000", "11110011", "11111100", "11111111"]
 
 
 def test_distributivity_over_builder_triples():
