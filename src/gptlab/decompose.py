@@ -2,7 +2,8 @@
 
 A state space decomposes when its vertex set splits into blocks with
 linearly independent spans; the finest such partition (the components of the
-vector matroid on the vertices) is computed by a span-merge fixpoint.  A
+vector matroid on the vertices) is read off the nonzero entries of the vertex
+projector, the same form the symmetry search matches.  A
 nontrivial decomposition is exactly a classical degree of freedom, and for
 transitive spaces it upgrades to a full classical subsystem: the space
 factors as a simplex tensor one component.
@@ -22,7 +23,7 @@ from .dynamics import (
     _vertex_map,
     is_transitive,
 )
-from .linalg import Matrix, complete_basis, dot, independent_subset, veq
+from .linalg import Matrix, complete_basis, dot, span_projector, veq
 from .statespace import Effect, StateSpace, _assemble, min_tensor, simplex
 
 
@@ -82,46 +83,30 @@ class Decomposition:
 def irreducible_components(space: StateSpace) -> Decomposition:
     """Finest partition of the vertices into blocks with additive span ranks.
 
-    This is the connected-component partition of the vector matroid on the
-    vertex vectors, computed through fundamental circuits: fix a basis among
-    the vertices; every non-basis vertex ties itself to the support of its
-    unique representation.  Merging those supports (union-find) yields
-    exactly the matroid components.  Pairwise span-intersection merging is
-    NOT enough here: a circuit of length >= 3 (e.g. the four square
-    vertices) crosses blocks whose spans intersect trivially in pairs.
+    These are the components of the vector matroid on the vertex vectors.
+    Span ranks add along a partition exactly when the column space of the
+    vertex matrix splits along it, that is, exactly when the vertex projector
+    P (``linalg.span_projector``) is block-diagonal along it.  So the finest
+    such partition is the connected components of the graph whose edges are
+    the nonzero entries of P.
     """
     ctx = space.ctx
-    verts = space.vertices
-    n = len(verts)
-    basis_idx = independent_subset(verts, ctx)
-    basis_mat = Matrix.from_cols([verts[i] for i in basis_idx], ctx)
-
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    basis_set = set(basis_idx)
-    for e in range(n):
-        if e in basis_set:
+    rows = span_projector(space.vertices, ctx).rows
+    n = len(rows)
+    seen = [False] * n
+    blocks = []
+    for start in range(n):
+        if seen[start]:
             continue
-        x = basis_mat.solve(verts[e])
-        support = [basis_idx[k] for k in range(len(basis_idx)) if not ctx.is_zero(x[k])]
-        for b in support:
-            union(e, b)
-
-    groups: dict = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return _decomposition(space, groups.values())
+        seen[start] = True
+        block = [start]
+        for i in block:
+            for j in range(n):
+                if not seen[j] and not ctx.is_zero(rows[i][j]):
+                    seen[j] = True
+                    block.append(j)
+        blocks.append(block)
+    return _decomposition(space, blocks)
 
 
 def _decomposition(space: StateSpace, blocks) -> Decomposition:

@@ -2,10 +2,12 @@
 
 A reversible transformation of a polytope state space is an invertible
 linear map that fixes the unit effect and permutes the vertex set; for
-polytopes these form a finite group.  The search enumerates candidate vertex
-bijections pruned by an affinely invariant Gram form, then keeps exactly the
-bijections that extend linearly (dependency preservation), so it is complete
-without ever touching all n! permutations.
+polytopes these form a finite group.  The search backtracks over vertex
+bijections that carry one invariant n x n form, the vertex projector, onto
+the target's entry by entry.  A bijection does that exactly when it extends
+to a linear map (Bremner, Dutour Sikirić, Pasechnik, Rehn & Schürmann,
+"Computing symmetry groups of polyhedra", 2014), so the search is complete
+without ever touching all n! permutations and needs no check at its leaves.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional
 
 from .config import BudgetExceededError, DEFAULT_BUDGETS, Budgets
 from .geometry import FaceLattice
-from .linalg import Matrix, complete_basis, dependency_basis, dot, independent_subset, veq, vsub
+from .linalg import Matrix, complete_basis, independent_subset, span_projector, veq
 from .statespace import StateSpace
 
 
@@ -104,16 +106,22 @@ class SymmetryGroup:
 
 
 class _VertexGeometry:
-    """Pairwise affine invariants and span data for one vertex list."""
+    """Vertex projector and span data for one vertex list.
+
+    ``gram`` holds the rows of P = W (W^T W)^-1 W^T (``linalg.span_projector``),
+    the orthogonal projector of R^n onto the column space of the n x d vertex
+    matrix V.  Its kernel is the space of linear dependencies among the
+    vertices, so a vertex bijection sigma satisfies P'[sigma i][sigma j] =
+    P[i][j] for all i, j exactly when it maps dependencies onto dependencies,
+    that is, exactly when it extends to a linear map on the spans.
+    """
 
     def __init__(self, space: StateSpace):
         ctx = space.ctx
         verts = space.vertices
-        n = len(verts)
-        d = space.ambient_dim
         self.space = space
         self.ctx = ctx
-        self.n = n
+        self.n = len(verts)
 
         ref = independent_subset(verts, ctx)
         self.ref = ref
@@ -121,55 +129,15 @@ class _VertexGeometry:
 
         # Complete the reference vertices to an ambient basis with standard
         # basis vectors; used to extend span maps by the identity.
+        d = space.ambient_dim
         self.full_basis = Matrix.from_cols(complete_basis([verts[i] for i in ref], d, ctx), ctx)
         self.full_basis_inv = self.full_basis.inverse()
         self.n_complement = d - self.r
 
-        self.deps = dependency_basis(verts, ctx)
-
-        # Integer-rescaled copies for the hot dependency check (exact mode):
-        # a common vertex multiplier and per-row dependency multipliers keep
-        # every zero test in plain integer arithmetic.
-        self.int_verts = None
-        self.int_deps = None
-        if ctx.exact and verts:
-            from math import lcm
-
-            den = lcm(*(x.denominator for v in verts for x in v)) if verts else 1
-            self.int_verts = [tuple(int(x * den) for x in v) for v in verts]
-            self.int_deps = []
-            for c in self.deps:
-                dl = lcm(*(x.denominator for x in c))
-                self.int_deps.append(tuple(int(x * dl) for x in c))
-
-        # Gram form G[i][j] = x_i^T S^{-1} x_j over direction coordinates,
-        # invariant under every u-preserving linear symmetry.
-        zero = ctx.zero()
-        if n == 1:
-            self.gram = ((zero,),)
-        else:
-            nf = ctx.num(n)
-            bary = tuple(sum(col, zero) / nf for col in zip(*verts))
-            diffs = [vsub(v, bary) for v in verts]
-            dir_idx = independent_subset(diffs, ctx)
-            e_mat = Matrix.from_cols([diffs[i] for i in dir_idx], ctx)
-            xs = [e_mat.solve(diff) for diff in diffs]
-            m = len(dir_idx)
-            s_rows = [[zero] * m for _ in range(m)]
-            for x in xs:
-                for a in range(m):
-                    if ctx.is_zero(x[a]):
-                        continue
-                    for b in range(m):
-                        s_rows[a][b] = s_rows[a][b] + x[a] * x[b]
-            s_inv = Matrix.from_rows(s_rows, ctx).inverse()
-            ys = [s_inv.apply(x) for x in xs]
-            self.gram = tuple(tuple(dot(x, y) for y in ys) for x in xs)
-
+        self.gram = span_projector(verts, ctx).rows
         self.classes = tuple(
-            (ctx.key(self.gram[i][i]),
-             tuple(sorted(ctx.key(v) for v in self.gram[i])))
-            for i in range(n)
+            (ctx.key(row[i]), tuple(sorted(ctx.key(v) for v in row)))
+            for i, row in enumerate(self.gram)
         )
 
 
@@ -177,8 +145,10 @@ def _search_vertex_maps(src: _VertexGeometry, dst: _VertexGeometry,
                         budget: int, find_all: bool) -> list:
     """Vertex bijections src -> dst extending to linear maps on the spans.
 
-    Candidates are pruned by Gram-form consistency; survivors are accepted
-    iff they preserve every linear dependency (exact linear extendability).
+    These are the bijections that carry src's vertex projector onto dst's.
+    Each placed vertex is compared with every vertex placed before it, and
+    its own diagonal entry is part of its class, so a full assignment matches
+    all n^2 entries and is accepted as it stands.
     """
     ctx = src.ctx
     n = src.n
@@ -191,8 +161,8 @@ def _search_vertex_maps(src: _VertexGeometry, dst: _VertexGeometry,
             for i in range(n)]
     order = sorted(range(n), key=lambda i: len(cand[i]))
 
-    # Gram values as small integer labels shared by both sides, so the inner
-    # loop compares ints; labels follow ctx.key, as the classes above do.
+    # Projector entries as small integer labels shared by both sides, so the
+    # inner loop compares ints; labels follow ctx.key, as the classes do.
     labels: dict = {}
     src_gram, dst_gram = (
         [[labels.setdefault(ctx.key(x), len(labels)) for x in row] for row in geom.gram]
@@ -204,37 +174,11 @@ def _search_vertex_maps(src: _VertexGeometry, dst: _VertexGeometry,
     found = []
     nodes = 0
 
-    int_mode = src.int_deps is not None and dst.int_verts is not None
-    dep_rows = src.int_deps if int_mode else src.deps
-    dep_verts = dst.int_verts if int_mode else dst.space.vertices
-    dep_supports = [
-        [(i, c[i]) for i in range(n) if c[i] != 0] if int_mode
-        else [(i, c[i]) for i in range(n) if not ctx.is_zero(c[i])]
-        for c in dep_rows
-    ]
-    dim = dst.space.ambient_dim
-
-    def extends(sig) -> bool:
-        for supp in dep_supports:
-            total = [0] * dim
-            for i, ci in supp:
-                v = dep_verts[sig[i]]
-                for k in range(dim):
-                    total[k] += ci * v[k]
-            if int_mode:
-                if any(total):
-                    return False
-            elif not all(ctx.is_zero(x) for x in total):
-                return False
-        return True
-
     def backtrack(pos: int) -> bool:
         nonlocal nodes
         if pos == n:
-            if extends(sigma):
-                found.append(tuple(sigma))
-                return not find_all
-            return False
+            found.append(tuple(sigma))
+            return not find_all
         i = order[pos]
         gi = src_gram[i]
         placed = [(sigma[k], gi[k]) for k in order[:pos]]

@@ -177,17 +177,12 @@ class Matrix:
 
     # -- elimination ------------------------------------------------------
 
-    def rank(self, col_order: Optional[Sequence[int]] = None) -> int:
-        """Exact rank via fraction-free (Bareiss) elimination.
-
-        ``col_order`` permutes the elimination columns; the result must not
-        depend on it (property-checked in the test-suite).
-        """
+    def rank(self) -> int:
+        """Exact rank via fraction-free (Bareiss) elimination."""
         if not self.rows or self.ncols == 0:
             return 0
         ctx = self.ctx
-        order = list(col_order) if col_order is not None else list(range(self.ncols))
-        m = [[row[j] for j in order] for row in self.rows]
+        m = [list(row) for row in self.rows]
         nr, nc = len(m), len(m[0])
         rank = 0
         prev = ctx.one()
@@ -308,10 +303,8 @@ class Matrix:
             raise ValueError("inverse of a non-square matrix")
         ctx = self.ctx
         n = self.nrows
-        aug = Matrix(
-            tuple(tuple(r) + tuple(Matrix.identity(n, ctx).rows[i]) for i, r in enumerate(self.rows)),
-            ctx,
-        )
+        ident = Matrix.identity(n, ctx).rows
+        aug = Matrix(tuple(tuple(r) + ident[i] for i, r in enumerate(self.rows)), ctx)
         red, pivots = aug.rref()
         if list(pivots[:n]) != list(range(n)):
             return None
@@ -321,17 +314,17 @@ class Matrix:
 def independent_subset(vectors: Sequence[Vector], ctx: Context = EXACT) -> list:
     """Indices of a greedy maximal linearly independent subset, in order."""
     chosen: list = []
-    echelon: list = []  # reduced rows mirroring `chosen`
+    echelon: list = []  # (leading index, reduced row) mirroring `chosen`
     for idx, v in enumerate(vectors):
         row = list(v)
-        for erow in echelon:
-            lead = next(j for j in range(len(erow)) if not ctx.is_zero(erow[j]))
+        for lead, erow in echelon:
             if not ctx.is_zero(row[lead]):
                 f = row[lead] / erow[lead]
                 row = [x - f * y for x, y in zip(row, erow)]
-        if any(not ctx.is_zero(x) for x in row):
+        lead = next((j for j, x in enumerate(row) if not ctx.is_zero(x)), None)
+        if lead is not None:
             chosen.append(idx)
-            echelon.append(row)
+            echelon.append((lead, row))
     return chosen
 
 
@@ -341,6 +334,20 @@ def complete_basis(cols: Sequence[Vector], d: int, ctx: Context = EXACT) -> list
     one, zero = ctx.one(), ctx.zero()
     vectors = list(cols) + [tuple(one if k == j else zero for k in range(d)) for j in range(d)]
     return [vectors[k] for k in independent_subset(vectors, ctx)]
+
+
+def span_projector(vectors: Sequence[Vector], ctx: Context = EXACT) -> Matrix:
+    """Orthogonal projector P = W (W^T W)^-1 W^T of R^n onto the column space
+    of the n x d matrix whose rows are the given vectors, W a greedy basis of
+    its columns.
+
+    The kernel of P is the space of linear dependencies among the vectors:
+    P c = 0 iff sum_i c[i] * vectors[i] = 0.
+    """
+    basis = independent_subset(list(zip(*vectors)), ctx)
+    w = Matrix(tuple(tuple(v[j] for j in basis) for v in vectors), ctx)
+    wt = w.transpose()
+    return w @ ((wt @ w).inverse() @ wt)
 
 
 def span_rank(vectors: Sequence[Vector], ctx: Context = EXACT) -> int:

@@ -88,7 +88,7 @@ def _eval_space(stmt: sc.SpaceDef, env: _Env) -> ss.StateSpace:
     ctx = env.ctx
     if isinstance(e, sc.BuilderCall):
         builder = ss.BUILDERS[e.builder]
-        space = builder(*e.args, ctx=ctx) if e.args else builder(ctx=ctx)
+        space = builder(*e.args, ctx=ctx)
         return ss.StateSpace(stmt.name, space.vertices, space.u, ctx,
                              space.factors, space.product_index)
     if isinstance(e, sc.CompositeExpr):

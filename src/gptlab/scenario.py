@@ -24,11 +24,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-BUILDER_NAMES = ("simplex", "point", "gbit", "cube", "cross")
-CHECK_KINDS = (
-    "decompose", "transitive", "group", "lri", "broadcaster",
-    "theorem1", "theorem2", "theorem3", "distributivity", "entangled",
-)
+BUILDER_ARITY = {"simplex": 1, "point": 0, "gbit": 0, "cube": 1, "cross": 1}
+BUILDER_NAMES = tuple(BUILDER_ARITY)
+# Outcome words an ``expect`` clause may name per check kind, besides
+# "budget_exceeded"; a group check expects its order, an integer.
+CHECK_OUTCOMES = {
+    "decompose": ("decomposable", "irreducible"),
+    "transitive": ("true", "false"),
+    "group": (),
+    "lri": ("none", "trivial", "nontrivial"),
+    "broadcaster": ("none", "trivial", "nontrivial"),
+    "theorem1": ("pass", "inapplicable"),
+    "theorem2": ("pass", "fail", "inapplicable"),
+    "theorem3": ("conditional", "none"),
+    "distributivity": ("true", "false"),
+    "entangled": ("true", "false"),
+}
+CHECK_KINDS = tuple(CHECK_OUTCOMES)
 NAMED_MAPS = ("identity", "swap", "cnot", "product", "ctrl")
 
 
@@ -286,6 +298,10 @@ def _parse_space(p: _LineParser, loc: Loc, spaces: dict) -> SpaceDef:
                 p.take("sym", ",")
                 args.append(p.take_int())
         p.take("sym", ")")
+        arity = BUILDER_ARITY[tok.text]
+        if len(args) != arity:
+            raise ParseError(f"{tok.text} takes {arity} argument(s), found {len(args)}",
+                             tok.line, tok.col)
         return SpaceDef(name.text, BuilderCall(tok.text, tuple(args)), loc)
     if tok.kind == "id":
         raise ParseError(f"unknown builder {tok.text!r}", tok.line, tok.col,
@@ -376,13 +392,20 @@ def _parse_check(p: _LineParser, loc: Loc, spaces: dict, maps: dict) -> CheckStm
     expect = None
     if p.peek_is("id", "expect"):
         p.take_id()
-        tok = p.cur
-        if tok.kind in ("id", "rat"):
-            expect = tok.text
-            p.pos += 1
-        else:
-            p.error("expected an outcome word", expected=("WORD",))
+        expect = _parse_outcome(p, kind)
     return CheckStmt(kind, ids, loc, state=state, b_index=b_index, expect=expect)
+
+
+def _parse_outcome(p: _LineParser, kind: str) -> str:
+    """The word after ``expect``, checked against the kind's outcomes."""
+    tok = p.cur
+    if tok.text in CHECK_OUTCOMES[kind] + ("budget_exceeded",) or (
+            kind == "group" and tok.kind == "rat" and "/" not in tok.text):
+        p.pos += 1
+        return tok.text
+    words = CHECK_OUTCOMES[kind] or ("an integer",)
+    p.error(f"unknown outcome {tok.text!r} for check {kind}" if tok.text
+            else "expected an outcome word", expected=words + ("budget_exceeded",))
 
 
 # -- printer -------------------------------------------------------------------

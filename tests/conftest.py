@@ -30,3 +30,10 @@ def square():
 @pytest.fixture(scope="session")
 def pt():
     return statespace.point()
+
+
+@pytest.fixture(scope="session")
+def padded_square():
+    """The square with an extra zero coordinate: its vertices do not span."""
+    g = statespace.gbit()
+    return statespace.make_space([v + (0,) for v in g.vertices], g.u + (0,), "gbit+0")

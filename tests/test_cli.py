@@ -158,7 +158,13 @@ def test_lri_subcommand_rejects_singular_map(tmp_path, d1_json):
     ("space G = gbit()\nspace B = cube(0)\n", "2:1"),
     ("space D = simplex(1)\nspace G = gbit()\nmap I = identity(G)\n"
      "map C = ctrl(D, G, I, I, I)\n", "4:1"),
-], ids=["builder-argument", "ctrl-map-count"])
+    ("space G = gbit(3)\n", "1:11"),
+    ("space G = simplex(1, 2)\n", "1:11"),
+    ("space G = point(1)\n", "1:11"),
+    ("space G = cube()\n", "1:11"),
+    ("space G = gbit()\ncheck theorem1 G expect maybe\n", "2:25"),
+], ids=["builder-argument", "ctrl-map-count", "gbit-3", "simplex-1-2", "point-1",
+        "cube-empty", "expect-maybe"])
 def test_run_evaluation_error_has_location(tmp_path, text, loc):
     bad = tmp_path / "bad.gpt"
     bad.write_text(text)

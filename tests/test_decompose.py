@@ -16,7 +16,7 @@ from gptlab.decompose import (
 from gptlab.dynamics import reversible_maps
 from gptlab.linalg import Matrix, dot
 from gptlab.statespace import direct_sum, min_tensor, transformed
-from oracles import finest_valid_partition, random_u_preserving_map
+from oracles import finest_valid_partition, random_u_preserving_map, unimodular_u_preserving_map
 
 
 def test_simplex_decomposes_into_points():
@@ -61,13 +61,16 @@ def test_has_classical_dof_examples():
     assert not has_classical_dof(ss.point())
 
 
-def test_decomposition_matches_partition_oracle_builders():
+def test_decomposition_matches_partition_oracle_builders(padded_square):
     spaces = [
         ss.point(), ss.simplex(1), ss.simplex(2), ss.gbit(), ss.cross(2),
         direct_sum(ss.simplex(1), ss.gbit()),
         direct_sum(ss.gbit(), ss.gbit()),
         min_tensor(ss.simplex(1), ss.simplex(1)),
     ]
+    rng = random.Random(13)
+    spaces += [transformed(s, unimodular_u_preserving_map(s, rng)) for s in spaces[5:]]
+    spaces += [padded_square, direct_sum(padded_square, ss.simplex(1))]
     for space in spaces:
         got = sorted(list(c.indices) for c in irreducible_components(space).components)
         assert got == finest_valid_partition(space.vertices)

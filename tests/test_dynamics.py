@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -16,7 +17,8 @@ from gptlab.dynamics import (
 )
 from gptlab.geometry import face_lattice, join
 from gptlab.linalg import Matrix
-from oracles import unpruned_symmetries
+from gptlab.statespace import min_tensor, transformed
+from oracles import random_polytope, unimodular_u_preserving_map, unpruned_symmetries
 
 
 def test_point_group_is_trivial():
@@ -41,10 +43,16 @@ def test_cube3_group_order_48():
     assert g.order == 48
 
 
-def test_groups_match_unpruned_brute_force():
-    # exhaustive n! check for every builder space with at most 6 vertices
+def test_groups_match_unpruned_brute_force(padded_square):
+    # exhaustive n! check for every builder space with at most 6 vertices,
+    # seeded random polytopes, two scrambled builders and a non-spanning space
     spaces = [ss.point(), ss.simplex(1), ss.simplex(2), ss.gbit(), ss.cross(2),
               ss.simplex(3), ss.cross(3), ss.direct_sum(ss.simplex(1), ss.simplex(1))]
+    rng = random.Random(31)
+    spaces += [random_polytope(rng, max_vertices=6) for _ in range(12)]
+    spaces += [transformed(s, unimodular_u_preserving_map(s, rng))
+               for s in (ss.cross(3), ss.direct_sum(ss.simplex(1), ss.gbit()))]
+    spaces.append(padded_square)
     for space in spaces:
         assert space.nvertices <= 6
         got = sorted(g.perm for g in reversible_maps(space).elements)
@@ -65,6 +73,15 @@ def test_group_axioms_exhaustive():
                 composed = g.element_by_perm(tuple(a.perm[b.perm[i]] for i in range(len(a.perm))))
                 assert composed is not None
                 assert composed.matrix.eq(a.matrix @ b.matrix)
+
+
+def test_elements_verify_on_scrambled_spaces():
+    rng = random.Random(8)
+    for space, order in ((ss.cube(3), 48), (min_tensor(ss.gbit(), ss.simplex(1)), 128)):
+        moved = transformed(space, unimodular_u_preserving_map(space, rng))
+        group = reversible_maps(moved)
+        assert group.order == order
+        assert all(g.verify() for g in group.elements)
 
 
 def test_generators_generate():

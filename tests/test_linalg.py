@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,9 +12,10 @@ from gptlab.linalg import (
     dot,
     independent_subset,
     kron,
+    span_projector,
     span_rank,
 )
-from oracles import hand_rank
+from oracles import hand_rank, unpruned_symmetries
 
 
 def test_rank_identity():
@@ -43,7 +45,7 @@ def test_rank_independent_of_elimination_order():
         base = m.rank()
         order = list(range(nc))
         rng.shuffle(order)
-        assert m.rank(col_order=order) == base
+        assert Matrix.from_cols([m.col(j) for j in order]).rank() == base
         assert hand_rank(rows) == base
 
 
@@ -83,6 +85,38 @@ def test_dependency_basis_square_vertices():
     c = deps[0]
     total = [sum(c[i] * verts[i][k] for i in range(4)) for k in range(3)]
     assert all(x == 0 for x in total)
+
+
+@pytest.mark.parametrize("space", [ss.gbit(), ss.cube(3), ss.simplex(2),
+                                   ss.direct_sum(ss.gbit(), ss.point())],
+                         ids=["gbit", "cube3", "simplex2", "gbit+point"])
+def test_span_projector_is_orthogonal_projector(space):
+    p = span_projector(space.vertices)
+    assert p.transpose().eq(p)
+    assert (p @ p).eq(p)
+    assert sum(p.rows[i][i] for i in range(p.nrows)) == span_rank(space.vertices)
+    for c in dependency_basis(space.vertices):
+        assert all(x == 0 for x in p.apply(c))
+
+
+def test_span_projector_fixed_exactly_by_square_symmetries():
+    verts = ss.gbit().vertices
+    p = span_projector(verts).rows
+    symmetries = set(unpruned_symmetries(verts, ss.gbit().u))
+    assert len(symmetries) == 8
+    for sigma in itertools.permutations(range(4)):
+        fixes = all(p[sigma[i]][sigma[j]] == p[i][j] for i in range(4) for j in range(4))
+        assert fixes == (sigma in symmetries)
+
+
+def test_span_projector_block_diagonal_on_direct_sum():
+    space = ss.direct_sum(ss.gbit(), ss.point())
+    p = span_projector(space.vertices).rows
+    (apex,) = [i for i, v in enumerate(space.vertices) if v[-1] == 1]  # the point
+    square = [i for i in range(space.nvertices) if i != apex]
+    assert p[apex][apex] == 1
+    assert all(p[apex][i] == p[i][apex] == 0 for i in square)
+    assert all(p[i][j] != 0 for i in square for j in square)
 
 
 def test_independent_subset_prefix_greedy():

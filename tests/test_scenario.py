@@ -28,6 +28,40 @@ def test_unknown_builder_position():
     assert "blorp" in str(err.value)
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("space G = gbit()\ncheck theorem1 G expect maybe", ("pass", "inapplicable")),
+    ("space G = gbit()\ncheck group G expect true", ("an integer",)),
+    ("space G = gbit()\ncheck group G expect 1/2", ("an integer",)),
+    ("space G = gbit()\ncheck decompose G expect pass", ("decomposable", "irreducible")),
+], ids=["theorem1-maybe", "group-word", "group-fraction", "decompose-pass"])
+def test_expect_word_checked_against_check_kind(text, expected):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    line = text.splitlines()[1]
+    assert (err.value.line, err.value.col) == (2, line.index("expect") + len("expect ") + 1)
+    assert err.value.expected == expected + ("budget_exceeded",)
+
+
+def test_expect_accepts_each_outcome_and_budget_exceeded():
+    prefix = "space A = simplex(1)\nspace P = product(A, A)\nmap C = cnot\n"
+    operands = {"decompose": "A", "transitive": "A", "group": "A", "theorem1": "A",
+                "theorem2": "P", "distributivity": "A A A", "lri": "C on P",
+                "theorem3": "C on P", "broadcaster": "C on P", "entangled": "prbox on P"}
+    assert set(operands) == set(sc.CHECK_KINDS)
+    for kind, words in sc.CHECK_OUTCOMES.items():
+        for word in (words or ("8",)) + ("budget_exceeded",):
+            check = parse(f"{prefix}check {kind} {operands[kind]} expect {word}").checks[0]
+            assert check.expect == word
+
+
+def test_demo_outcomes_are_in_their_tables():
+    report = ex.execute(parse(demo_path().read_text()))
+    for rec in report.checks:
+        outcome = rec.certificate["outcome"]
+        assert outcome in sc.CHECK_OUTCOMES[rec.kind] or (
+            rec.kind == "group" and outcome.isdigit()), (rec.kind, outcome)
+
+
 def test_duplicate_definition_rejected():
     with pytest.raises(ParseError, match="duplicate"):
         parse("space A = gbit()\nspace A = point()")
