@@ -23,7 +23,7 @@ from .dynamics import (
     _vertex_map,
     is_transitive,
 )
-from .linalg import Matrix, complete_basis, dot, span_projector, veq
+from .linalg import Matrix, complete_basis, dot, veq
 from .statespace import Effect, StateSpace, _assemble, min_tensor, simplex
 
 
@@ -86,12 +86,12 @@ def irreducible_components(space: StateSpace) -> Decomposition:
     These are the components of the vector matroid on the vertex vectors.
     Span ranks add along a partition exactly when the column space of the
     vertex matrix splits along it, that is, exactly when the vertex projector
-    P (``linalg.span_projector``) is block-diagonal along it.  So the finest
-    such partition is the connected components of the graph whose edges are
-    the nonzero entries of P.
+    P (``StateSpace.vertex_projector``) is block-diagonal along it.  So the
+    finest such partition is the connected components of the graph whose
+    edges are the nonzero entries of P.
     """
     ctx = space.ctx
-    rows = span_projector(space.vertices, ctx).rows
+    rows = space.vertex_projector.rows
     n = len(rows)
     seen = [False] * n
     blocks = []
@@ -123,7 +123,9 @@ def _extract(space: StateSpace, indices: tuple) -> Component:
     red, pivots = Matrix.from_rows(rows, ctx).rref()
     basis_rows = [red.rows[k] for k in range(len(pivots))]
     basis = Matrix.from_cols(basis_rows, ctx)  # ambient x dim
-    coords = [basis.solve(v) for v in rows]
+    # The basis is the identity on the pivot columns, so v = sum_k c_k b_k
+    # has c_k = v[pivots[k]].
+    coords = [tuple(v[p] for p in pivots) for v in rows]
     sub_u = basis.transpose().apply(space.u)  # u restricted: u(B c) = (B^T u) . c
     label = f"{space.label}#{','.join(str(i) for i in indices)}"
     sub = _assemble(label, coords, sub_u, ctx)
@@ -244,15 +246,13 @@ def classical_subsystem(space: StateSpace, group: SymmetryGroup,
 # -- component indicator effects ---------------------------------------------
 
 
-def component_indicator_effects(space: StateSpace,
-                                decomp: Optional[Decomposition] = None) -> list:
+def component_indicator_effects(space: StateSpace) -> list:
     """Effects reading out the classical label: 1 on one block, 0 on the rest.
 
     They always form a complete measurement (they sum to u).
     """
     ctx = space.ctx
-    if decomp is None:
-        decomp = irreducible_components(space)
+    decomp = irreducible_components(space)
     effects = []
     one, zero = ctx.one(), ctx.zero()
     for comp, proj in zip(decomp.components, _block_projectors(decomp)):

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .config import BudgetExceededError, DEFAULT_BUDGETS, Budgets
 from .geometry import FaceLattice
-from .linalg import Matrix, complete_basis, independent_subset, span_projector, veq
+from .linalg import Matrix, complete_basis, independent_subset, veq
 from .statespace import StateSpace
 
 
@@ -108,7 +108,7 @@ class SymmetryGroup:
 class _VertexGeometry:
     """Vertex projector and span data for one vertex list.
 
-    ``gram`` holds the rows of P = W (W^T W)^-1 W^T (``linalg.span_projector``),
+    ``gram`` holds the rows of the space's vertex projector P = W (W^T W)^-1 W^T,
     the orthogonal projector of R^n onto the column space of the n x d vertex
     matrix V.  Its kernel is the space of linear dependencies among the
     vertices, so a vertex bijection sigma satisfies P'[sigma i][sigma j] =
@@ -134,7 +134,7 @@ class _VertexGeometry:
         self.full_basis_inv = self.full_basis.inverse()
         self.n_complement = d - self.r
 
-        self.gram = span_projector(verts, ctx).rows
+        self.gram = space.vertex_projector.rows
         self.classes = tuple(
             (ctx.key(row[i]), tuple(sorted(ctx.key(v) for v in row)))
             for i, row in enumerate(self.gram)

@@ -84,7 +84,7 @@ def is_trivial_lri(witness: LriWitness) -> bool:
 
 
 def lri_decompose(t: Matrix, a: StateSpace, b: StateSpace,
-                  groups: tuple, composite: Optional[StateSpace] = None) -> Optional[LriWitness]:
+                  groups: tuple) -> Optional[LriWitness]:
     """Read the local families off a candidate interaction, or fail.
 
     T must be a reversible map of the composite: invertible, and permuting
@@ -94,8 +94,7 @@ def lri_decompose(t: Matrix, a: StateSpace, b: StateSpace,
     local symmetry.  A map that breaks u-preservation raises
     NormalizationError (a malformed input, not a mere witness failure).
     """
-    if composite is None:
-        composite = min_tensor(a, b)
+    composite = min_tensor(a, b)
     d = composite.ambient_dim
     if t.shape != (d, d):
         raise ValueError("matrix does not act on the composite ambient")
@@ -496,10 +495,10 @@ class Theorem2Report:
 def verify_theorem2(a: StateSpace, b: StateSpace, groups: tuple,
                     budgets: Budgets = DEFAULT_BUDGETS) -> Theorem2Report:
     """Every interaction between indecomposable factors must be trivial."""
-    if has_classical_dof(a) or has_classical_dof(b):
-        which = a.label if has_classical_dof(a) else b.label
-        return Theorem2Report("inapplicable",
-                              detail=f"{which} carries a classical degree of freedom")
+    for factor in (a, b):
+        if has_classical_dof(factor):
+            return Theorem2Report("inapplicable",
+                                  detail=f"{factor.label} carries a classical degree of freedom")
     enum = enumerate_lris(a, b, groups, budgets)
     if not enum.complete:
         detail = (f"stopped after {enum.explored} composite symmetries" if enum.explored
@@ -560,8 +559,7 @@ class BlockStructure:
         return Matrix.from_cols(chosen_dst, ctx) @ Matrix.from_cols(basis, ctx).inverse()
 
 
-def conditional_structure(t: Matrix, a: StateSpace, b: StateSpace, groups: tuple,
-                          budgets: Budgets = DEFAULT_BUDGETS) -> Optional[BlockStructure]:
+def conditional_structure(t: Matrix, a: StateSpace, b: StateSpace) -> Optional[BlockStructure]:
     """Resolve a reversible interaction into blockwise local product maps.
 
     Decomposes both factors into irreducible components; the interaction

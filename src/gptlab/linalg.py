@@ -7,6 +7,13 @@ dimensions below ~20), so the implementations favour clarity and exactness
 over asymptotics.  In exact mode the products (``apply``, ``left_apply``,
 ``@``) run over integers: each row or column is scaled once by the lcm of its
 denominators, and each output entry costs a single ``Fraction(n, d)``.
+
+There are two elimination loops: ``Matrix._gauss_jordan``, off which
+``rref``, ``solve``, ``inverse``, ``nullspace`` and ``det`` read, and the
+incremental echelon of ``independent_subset``, on which ``rank`` and the basis
+helpers build.  Both decide zero with ``ctx.is_zero`` on the working entries;
+a Gauss-Jordan pivot is the first nonzero entry of its column in exact mode
+and the largest in magnitude in float mode.
 """
 
 from __future__ import annotations
@@ -178,43 +185,18 @@ class Matrix:
     # -- elimination ------------------------------------------------------
 
     def rank(self) -> int:
-        """Exact rank via fraction-free (Bareiss) elimination."""
-        if not self.rows or self.ncols == 0:
-            return 0
-        ctx = self.ctx
-        m = [list(row) for row in self.rows]
-        nr, nc = len(m), len(m[0])
-        rank = 0
-        prev = ctx.one()
-        for c in range(nc):
-            pivot_row = None
-            for r in range(rank, nr):
-                if not ctx.is_zero(m[r][c]):
-                    if pivot_row is None or (not ctx.exact and abs(m[r][c]) > abs(m[pivot_row][c])):
-                        pivot_row = r
-                        if ctx.exact:
-                            break
-            if pivot_row is None:
-                continue
-            m[rank], m[pivot_row] = m[pivot_row], m[rank]
-            piv = m[rank][c]
-            for r in range(rank + 1, nr):
-                for k in range(c + 1, nc):
-                    m[r][k] = (piv * m[r][k] - m[r][c] * m[rank][k]) / prev
-                m[r][c] = ctx.zero()
-            prev = piv
-            rank += 1
-            if rank == nr:
-                break
-        return rank
+        """Rank: the size of a greedy independent subset of the rows."""
+        return len(independent_subset(self.rows, self.ctx))
 
-    def rref(self) -> tuple:
-        """Reduced row echelon form; returns (Matrix, pivot column tuple)."""
+    def _gauss_jordan(self) -> tuple:
+        """The one Gauss-Jordan loop: (reduced rows, pivot columns, product of
+        the pivots times the sign of the row swaps)."""
         ctx = self.ctx
         m = [list(r) for r in self.rows]
         nr = len(m)
         nc = len(m[0]) if m else 0
         pivots = []
+        det = ctx.one()
         r = 0
         for c in range(nc):
             if r == nr:
@@ -228,8 +210,11 @@ class Matrix:
                             break
             if pivot_row is None:
                 continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
+            if pivot_row != r:
+                m[r], m[pivot_row] = m[pivot_row], m[r]
+                det = -det
             piv = m[r][c]
+            det *= piv
             m[r] = [x / piv for x in m[r]]
             for i in range(nr):
                 if i != r and not ctx.is_zero(m[i][c]):
@@ -237,7 +222,12 @@ class Matrix:
                     m[i] = [x - f * y for x, y in zip(m[i], m[r])]
             pivots.append(c)
             r += 1
-        return Matrix(tuple(tuple(row) for row in m), ctx), tuple(pivots)
+        return m, tuple(pivots), det
+
+    def rref(self) -> tuple:
+        """Reduced row echelon form; returns (Matrix, pivot column tuple)."""
+        m, pivots, _ = self._gauss_jordan()
+        return Matrix(tuple(tuple(row) for row in m), self.ctx), pivots
 
     def nullspace(self) -> list:
         """Canonical basis (RREF-derived) of {x : M x = 0}, as vectors."""
@@ -269,33 +259,11 @@ class Matrix:
         return tuple(x)
 
     def det(self) -> Scalar:
+        """Determinant: the signed product of the Gauss-Jordan pivots."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        ctx = self.ctx
-        n = self.nrows
-        m = [list(r) for r in self.rows]
-        prev = ctx.one()
-        sign = 1
-        for c in range(n):
-            pivot_row = None
-            for r in range(c, n):
-                if not ctx.is_zero(m[r][c]):
-                    if pivot_row is None or (not ctx.exact and abs(m[r][c]) > abs(m[pivot_row][c])):
-                        pivot_row = r
-                        if ctx.exact:
-                            break
-            if pivot_row is None:
-                return ctx.zero()
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                sign = -sign
-            piv = m[c][c]
-            for r in range(c + 1, n):
-                for k in range(c + 1, n):
-                    m[r][k] = (piv * m[r][k] - m[r][c] * m[c][k]) / prev
-                m[r][c] = ctx.zero()
-            prev = piv
-        return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
+        _, pivots, det = self._gauss_jordan()
+        return det if len(pivots) == self.nrows else self.ctx.zero()
 
     def inverse(self):
         """Inverse matrix, or None when singular."""
@@ -351,9 +319,7 @@ def span_projector(vectors: Sequence[Vector], ctx: Context = EXACT) -> Matrix:
 
 
 def span_rank(vectors: Sequence[Vector], ctx: Context = EXACT) -> int:
-    if not vectors:
-        return 0
-    return Matrix.from_rows(vectors, ctx).rank()
+    return len(independent_subset(vectors, ctx))
 
 
 def dependency_basis(vectors: Sequence[Vector], ctx: Context = EXACT) -> list:

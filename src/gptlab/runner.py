@@ -241,9 +241,7 @@ def _dispatch(stmt: sc.CheckStmt, env: _Env):
         if space.factors is None:
             raise ValueError("theorem3 check needs a product space")
         a, b = space.factors
-        structure = ia.conditional_structure(matrix, a, b,
-                                             (env.group(a), env.group(b)),
-                                             env.config.budgets)
+        structure = ia.conditional_structure(matrix, a, b)
         if structure is None:
             return "none", "fail", {"blocks": None}
         blocks = []

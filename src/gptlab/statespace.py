@@ -13,12 +13,13 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .arith import EXACT, Context
 from .config import DEFAULT_BUDGETS, Budgets
 from .geometry import column_basis, extreme_indices, extreme_rays
-from .linalg import Matrix, Vector, dot, kron, vec, veq
+from .linalg import Matrix, Vector, dot, kron, span_projector, vec, veq
 from .lp import HullMembership, in_hull
 
 
@@ -41,6 +42,11 @@ class StateSpace:
     @property
     def nvertices(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def vertex_projector(self) -> Matrix:
+        """``linalg.span_projector`` of the vertices, built on first use."""
+        return span_projector(self.vertices, self.ctx)
 
     def unit_value(self, x: Vector):
         return dot(self.u, x)

@@ -98,6 +98,20 @@ def hand_rank(rows):
     return rank
 
 
+def leibniz_det(rows):
+    """Determinant as the Leibniz sum over permutations, written independently
+    of Matrix: sum of sign(sigma) * prod_i rows[i][sigma(i)]."""
+    n = len(rows)
+    total = Fraction(0)
+    for sigma in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if sigma[i] > sigma[j])
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term *= Fraction(rows[i][sigma[i]])
+        total += term
+    return total
+
+
 def all_set_partitions(items):
     """Every partition of a list, as lists of lists (exponential; n <= 8)."""
     items = list(items)

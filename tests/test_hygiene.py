@@ -1,5 +1,6 @@
 """Source hygiene: every name a library module imports is used in that
-module, and every module-level function and class is referenced somewhere.
+module, every module-level function and class is referenced somewhere, and
+every function reads each of its parameters.
 
 ``__init__.py`` is left out, since its imports are the package's re-exports.
 An imported name counts as used when it is read anywhere in the module, named
@@ -91,3 +92,31 @@ def test_every_definition_is_referenced(path):
                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and node.name not in referenced}
     assert not unreferenced, f"{path.name}: definitions nothing references (name: line) {unreferenced}"
+
+
+def _unread_parameters(tree: ast.Module) -> dict:
+    """(function, parameter) -> line for each parameter its body never reads.
+
+    ``self``, ``cls`` and ``_``-prefixed names are left out; a parameter that
+    a nested function reads counts as read.
+    """
+    unread = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *(a for a in (args.vararg, args.kwarg) if a is not None)]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for arg in params:
+            if arg.arg not in read and arg.arg not in ("self", "cls") and not arg.arg.startswith("_"):
+                unread[(node.name, arg.arg)] = node.lineno
+    return unread
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unread = _unread_parameters(tree)
+    assert not unread, f"{path.name}: parameters never read ((function, parameter): line) {unread}"

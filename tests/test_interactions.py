@@ -306,9 +306,9 @@ def test_theorem2_chain_every_f_map_constant(square_space, square_groups):
             assert f.is_constant()
 
 
-def test_conditional_structure_cnot(bit, bit_groups):
+def test_conditional_structure_cnot(bit):
     t = cnot_map(bit)
-    structure = conditional_structure(t, bit, bit, bit_groups)
+    structure = conditional_structure(t, bit, bit)
     assert structure is not None
     perm = structure.block_permutation
     # blocks are (control value, target value); cnot sends (i, j) -> (i, i xor j)
@@ -320,7 +320,7 @@ def test_conditional_structure_product_map(square_space, square_groups):
     x = square_groups[0].elements[2].matrix
     y = square_groups[1].elements[7].matrix
     t = product_map(x, y)
-    structure = conditional_structure(t, square_space, square_space, square_groups)
+    structure = conditional_structure(t, square_space, square_space)
     assert structure is not None
     assert list(structure.blocks) == [(0, 0)]
     assert structure.block_permutation == {(0, 0): (0, 0)}
@@ -332,8 +332,7 @@ def test_conditional_structure_controlled_rotation(square_space):
     quarter = Matrix.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
     ident = Matrix.identity(3)
     t = controlled_map(classical, square_space, [ident, quarter])
-    groups = (reversible_maps(classical), reversible_maps(square_space))
-    structure = conditional_structure(t, classical, square_space, groups)
+    structure = conditional_structure(t, classical, square_space)
     assert structure is not None
     # blocks preserved, per-block Y = rotation^i
     for (i, j), (dst, x_mat, y_mat) in structure.blocks.items():
@@ -341,16 +340,16 @@ def test_conditional_structure_controlled_rotation(square_space):
     assert structure.reassemble().eq(t)
 
 
-def test_conditional_structure_swap_returns_none(square_space, square_groups):
+def test_conditional_structure_swap_returns_none(square_space):
     t = swap_map(square_space, square_space)
-    structure = conditional_structure(t, square_space, square_space, square_groups)
+    structure = conditional_structure(t, square_space, square_space)
     assert structure is None
 
 
-def test_conditional_structure_rejects_non_reversible(bit, bit_groups):
+def test_conditional_structure_rejects_non_reversible(bit):
     bad = Matrix.zeros(4, 4)
     with pytest.raises(ValueError):
-        conditional_structure(bad, bit, bit, bit_groups)
+        conditional_structure(bad, bit, bit)
 
 
 def test_verify_theorem2_budget_exceeded(square_space, square_groups):
@@ -501,8 +500,7 @@ def test_map_singular_off_the_vertex_span_is_not_an_lri(bit, bit_groups):
 def test_lri_decompose_agrees_with_enumeration(make_pair):
     a, b = make_pair()
     groups = (reversible_maps(a), reversible_maps(b))
-    composite = ss.min_tensor(a, b)
     lris = {t.rows for t, _ in enumerate_lris(a, b, groups)}
-    for g in reversible_maps(composite).elements:
-        witness = lri_decompose(g.matrix, a, b, groups, composite)
+    for g in reversible_maps(ss.min_tensor(a, b)).elements:
+        witness = lri_decompose(g.matrix, a, b, groups)
         assert (witness is not None) == (g.matrix.rows in lris)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gptlab import statespace as ss
+from gptlab.arith import float_context
 from gptlab.linalg import (
     Matrix,
     complete_basis,
@@ -15,7 +16,7 @@ from gptlab.linalg import (
     span_projector,
     span_rank,
 )
-from oracles import hand_rank, unpruned_symmetries
+from oracles import hand_rank, leibniz_det, unpruned_symmetries
 
 
 def test_rank_identity():
@@ -47,6 +48,27 @@ def test_rank_independent_of_elimination_order():
         rng.shuffle(order)
         assert Matrix.from_cols([m.col(j) for j in order]).rank() == base
         assert hand_rank(rows) == base
+
+
+def test_det_matches_leibniz_expansion():
+    rng = random.Random(11)
+    for _ in range(25):
+        n = rng.randint(1, 5)
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(n)]
+        if rng.random() < 0.3:  # a repeated row makes some of them singular
+            rows[-1] = list(rows[0])
+        assert Matrix.from_rows(rows).det() == leibniz_det(rows)
+
+
+def test_float_mode_elimination_agrees_at_small_scale():
+    """Rank, rref, independent_subset, det and inverse see the same matrix:
+    entries of 1e-5 are nonzero at eps 1e-9, even though their product is not."""
+    ctx = float_context(1e-9)
+    m = Matrix.from_rows([[1e-5, 0], [0, 1e-5]], ctx)
+    assert m.rank() == 2 == len(m.rref()[1]) == len(independent_subset(m.rows, ctx))
+    assert m.det() == pytest.approx(1e-10, rel=1e-12)
+    assert m.inverse() is not None
 
 
 def test_solve_and_inverse_roundtrip():
