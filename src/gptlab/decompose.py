@@ -12,6 +12,7 @@ factors as a simplex tensor one component.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .config import DEFAULT_BUDGETS, Budgets
@@ -43,6 +44,11 @@ class Component:
     def dim(self) -> int:
         return self.basis.ncols
 
+    def coords(self, vertex_index: int) -> tuple:
+        """Subspace coordinates of a block vertex: ``space`` lists them in the
+        order of ``indices`` (lex order survives ``_extract``'s coordinates)."""
+        return self.space.vertices[self.indices.index(vertex_index)]
+
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -57,11 +63,10 @@ class Decomposition:
     def is_trivial(self) -> bool:
         return self.n == 1
 
-    def block_of_vertex(self, vertex_index: int) -> int:
-        for k, comp in enumerate(self.components):
-            if vertex_index in comp.indices:
-                return k
-        raise ValueError(f"vertex {vertex_index} not covered by any block")
+    @cached_property
+    def block_of(self) -> dict:
+        """Vertex index -> index of the component holding it, built on first use."""
+        return {v: k for k, comp in enumerate(self.components) for v in comp.indices}
 
     def blocks(self) -> list:
         return [list(c.indices) for c in self.components]
@@ -153,9 +158,8 @@ class Isomorphism:
         src, dst, ctx = self.source, self.target, self.source.ctx
         if sorted(self.vertex_map) != list(range(dst.nvertices)):
             return False
-        for i, v in enumerate(src.vertices):
-            if not veq(self.matrix.apply(v), dst.vertices[self.vertex_map[i]], ctx):
-                return False
+        if not self.matrix.sends(src.vertices, [dst.vertices[k] for k in self.vertex_map]):
+            return False
         # u_target o L = u_source; literal when the source span is full,
         # and on the span it already holds because vertices map to vertices.
         pulled = self.matrix.transpose().apply(dst.u)
@@ -213,7 +217,7 @@ def classical_subsystem(space: StateSpace, group: SymmetryGroup,
     comp0 = decomp.components[0]
     c_space = comp0.space
     maps = []
-    for k, comp in enumerate(decomp.components):
+    for comp in decomp.components:
         if comp.dim != comp0.dim or len(comp.indices) != len(comp0.indices):
             raise RuntimeError("transitive space with non-isomorphic components")
         iso = spaces_isomorphic(c_space, comp.space, budgets)
@@ -260,10 +264,10 @@ def component_indicator_effects(space: StateSpace) -> list:
         covector = proj.transpose().apply(space.u)
         values = tuple(one if i in comp.indices else zero for i in range(space.nvertices))
         effects.append(Effect(space, tuple(covector), values))
-    for eff in effects:
-        for i, v in enumerate(space.vertices):
-            if not ctx.eq(dot(eff.covector, v), eff.values[i]):
-                raise RuntimeError("indicator effect failed verification")
+    # the vertex matrix sends each covector to its values on the vertices
+    if not Matrix(space.vertices, ctx).sends([e.covector for e in effects],
+                                             [e.values for e in effects]):
+        raise RuntimeError("indicator effect failed verification")
     return effects
 
 

@@ -68,10 +68,7 @@ class ReversibleMap:
             return False
         if not veq(self.matrix.left_apply(s.u), s.u, ctx):
             return False
-        return all(
-            veq(self.matrix.apply(s.vertices[i]), s.vertices[self.perm[i]], ctx)
-            for i in range(s.nvertices)
-        )
+        return self.matrix.sends(s.vertices, [s.vertices[k] for k in self.perm])
 
 
 @dataclass(frozen=True)
@@ -260,15 +257,8 @@ def _vertex_map(matrix: Matrix, points, target: StateSpace) -> Optional[tuple]:
 
     None when some image is not a vertex of the target or two images coincide.
     """
-    ctx = target.ctx
-    lookup = {tuple(ctx.key(x) for x in v): k for k, v in enumerate(target.vertices)}
-    images = []
-    for v in points:
-        k = lookup.get(tuple(ctx.key(x) for x in matrix.apply(v)))
-        if k is None:
-            return None
-        images.append(k)
-    return tuple(images) if len(set(images)) == len(images) else None
+    images = tuple(target.vertex_index(matrix.apply(v)) for v in points)
+    return None if None in images or len(set(images)) != len(images) else images
 
 
 def _as_map(space: StateSpace, matrix: Matrix) -> Optional[ReversibleMap]:

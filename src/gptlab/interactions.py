@@ -62,16 +62,22 @@ class LriWitness:
     y_family: tuple  # ReversibleMap on B, indexed by A-vertex
 
     def verify(self) -> bool:
-        """Re-check T(a (x) b) = X_b(a) (x) Y_a(b) on every vertex pair."""
-        ctx = self.a_space.ctx
-        for i, va in enumerate(self.a_space.vertices):
-            for j, vb in enumerate(self.b_space.vertices):
-                left = self.matrix.apply(kron(va, vb))
-                right = kron(self.x_family[j].matrix.apply(va),
-                             self.y_family[i].matrix.apply(vb))
-                if not veq(left, right, ctx):
+        """Re-check T(a (x) b) = X_b(a) (x) Y_a(b) on every vertex pair.
+
+        Two vertex-image checks: (1) each distinct family member sends its
+        factor's vertices by its perm; (2) T sends a_i (x) b_j to the composite
+        vertex a_i' (x) b_j' with i' = X_j.perm[i] and j' = Y_i.perm[j].  By
+        (1), a_i' = X_j(a_i) and b_j' = Y_i(b_j), so (2) is the identity.
+        """
+        for space, family in ((self.a_space, self.x_family), (self.b_space, self.y_family)):
+            for g in set(family):
+                if not g.matrix.sends(space.vertices, [space.vertices[k] for k in g.perm]):
                     return False
-        return True
+        comp = self.composite
+        position = {cell: k for k, cell in enumerate(comp.product_index)}
+        images = [comp.vertices[position[self.x_family[j].perm[i], self.y_family[i].perm[j]]]
+                  for i, j in comp.product_index]
+        return self.matrix.sends(comp.vertices, images)
 
     def is_trivial(self) -> bool:
         return len({x.perm for x in self.x_family}) == 1 and \
@@ -215,7 +221,6 @@ def cnot_map(d1: StateSpace) -> Matrix:
     if d1.nvertices != 2:
         raise ValueError("cnot is defined on a two-vertex classical factor")
     ctx = d1.ctx
-    composite = min_tensor(d1, d1)
     cols_src = []
     cols_dst = []
     for x in range(2):
@@ -297,10 +302,10 @@ def partial_broadcaster(witness: LriWitness, b_index: int) -> PartialBroadcaster
     ident_b = Matrix.identity(b.ambient_dim, ctx)
     bmap = x_b.inverse.kron(ident_b) @ witness.matrix @ embed
     pb = PartialBroadcaster(a, b, witness.composite, bmap, "B", b_index, x_b)
-    for i, va in enumerate(a.vertices):
-        expected = kron(va, witness.y_family[i].matrix.apply(b.vertices[b_index]))
-        if not veq(bmap.apply(va), expected, ctx):
-            raise ValueError(f"witness invalid for fixed input {b_index}")
+    expected = [kron(va, b.vertices[y.perm[b_index]])
+                for va, y in zip(a.vertices, witness.y_family)]
+    if not bmap.sends(a.vertices, expected):
+        raise ValueError(f"witness invalid for fixed input {b_index}")
     if not pb.verify():
         raise ValueError(f"broadcast equation fails for fixed input {b_index}")
     return pb
@@ -323,10 +328,10 @@ def partial_broadcaster_mirrored(witness: LriWitness, a_index: int) -> PartialBr
     ident_a = Matrix.identity(a.ambient_dim, ctx)
     bmap = ident_a.kron(y_a.inverse) @ witness.matrix @ embed
     pb = PartialBroadcaster(b, a, witness.composite, bmap, "A", a_index, y_a)
-    for j, vb in enumerate(b.vertices):
-        expected = kron(witness.x_family[j].matrix.apply(a.vertices[a_index]), vb)
-        if not veq(bmap.apply(vb), expected, ctx):
-            raise ValueError(f"witness invalid for fixed input {a_index}")
+    expected = [kron(a.vertices[x.perm[a_index]], vb)
+                for vb, x in zip(b.vertices, witness.x_family)]
+    if not bmap.sends(b.vertices, expected):
+        raise ValueError(f"witness invalid for fixed input {a_index}")
     if not pb.verify():
         raise ValueError(f"broadcast equation fails for fixed input {a_index}")
     return pb
@@ -381,7 +386,7 @@ def broadcast_f_map(pb: PartialBroadcaster) -> FMap:
                 "broadcaster image is not of the form s (x) f(s) on a pure state"
             )
         table.append(f)
-        if f not in other.vertices:
+        if other.vertex_index(f) is None:
             all_pure = False
     return FMap(src, other, tuple(table), all_pure)
 
@@ -399,18 +404,13 @@ class MeasurementFamily:
     f_map: FMap
 
     def verify(self) -> bool:
-        ctx = self.space.ctx
-        total = Matrix.zeros(self.space.ambient_dim, self.space.ambient_dim, ctx)
-        for _, m in self.members:
-            total = total + m
-        if not total.eq(Matrix.identity(self.space.ambient_dim, ctx)):
+        ctx, d, verts = self.space.ctx, self.space.ambient_dim, self.space.vertices
+        total = sum((m for _, m in self.members), Matrix.zeros(d, d, ctx))
+        if not total.eq(Matrix.identity(d, ctx)):
             return False
-        for effect, m in self.members:
-            for i, s in enumerate(self.space.vertices):
-                lam = dot(effect.covector, self.f_map.table[i])
-                if not veq(m.apply(s), tuple(lam * x for x in s), ctx):
-                    return False
-        return True
+        return all(m.sends(verts, [tuple(dot(effect.covector, f) * x for x in s)
+                                   for s, f in zip(verts, self.f_map.table)])
+                   for effect, m in self.members)
 
 
 def nondisturbing_measurement(pb: PartialBroadcaster,
@@ -533,30 +533,26 @@ class BlockStructure:
     def reassemble(self) -> Matrix:
         """Rebuild the interaction from the per-block product maps."""
         ctx = self.composite.ctx
-        a, b = self.a_space, self.b_space
-        grid = [(i, j) for i in range(a.nvertices) for j in range(b.nvertices)]
+        a, b, da, db = self.a_space, self.b_space, self.decomp_a, self.decomp_b
         cols_src = []
         cols_dst = []
-        block_a = {v: k for k, comp in enumerate(self.decomp_a.components) for v in comp.indices}
-        block_b = {v: k for k, comp in enumerate(self.decomp_b.components) for v in comp.indices}
-        for (i, j) in grid:
-            src_block = (block_a[i], block_b[j])
-            (ai, bj), x_mat, y_mat = self.blocks[src_block]
-            comp_a_src = self.decomp_a.components[src_block[0]]
-            comp_b_src = self.decomp_b.components[src_block[1]]
-            comp_a_dst = self.decomp_a.components[ai]
-            comp_b_dst = self.decomp_b.components[bj]
-            ca = comp_a_src.basis.solve(a.vertices[i])
-            cb = comp_b_src.basis.solve(b.vertices[j])
-            va = comp_a_dst.basis.apply(x_mat.apply(ca))
-            vb = comp_b_dst.basis.apply(y_mat.apply(cb))
-            cols_src.append(kron(a.vertices[i], b.vertices[j]))
-            cols_dst.append(kron(va, vb))
+        for i in range(a.nvertices):
+            for j in range(b.nvertices):
+                (ai, bj), x_mat, y_mat = self.blocks[da.block_of[i], db.block_of[j]]
+                cols_src.append(kron(a.vertices[i], b.vertices[j]))
+                cols_dst.append(kron(_block_image(da, i, ai, x_mat),
+                                     _block_image(db, j, bj, y_mat)))
         pos = independent_subset(cols_src, ctx)
         basis = complete_basis([cols_src[k] for k in pos], self.composite.ambient_dim, ctx)
         # off the span of the product vertices the interaction is copied as is
         chosen_dst = [cols_dst[k] for k in pos] + [self.matrix.apply(e) for e in basis[len(pos):]]
         return Matrix.from_cols(chosen_dst, ctx) @ Matrix.from_cols(basis, ctx).inverse()
+
+
+def _block_image(decomp: Decomposition, vertex: int, dst: int, mat: Matrix) -> tuple:
+    """A vertex's image under a component map, in ambient coordinates."""
+    comp = decomp.components[decomp.block_of[vertex]]
+    return decomp.components[dst].basis.apply(mat.apply(comp.coords(vertex)))
 
 
 def conditional_structure(t: Matrix, a: StateSpace, b: StateSpace) -> Optional[BlockStructure]:
@@ -574,8 +570,7 @@ def conditional_structure(t: Matrix, a: StateSpace, b: StateSpace) -> Optional[B
         raise ValueError("matrix is not a reversible transformation of the composite")
     decomp_a = irreducible_components(a)
     decomp_b = irreducible_components(b)
-    block_a = {v: k for k, comp in enumerate(decomp_a.components) for v in comp.indices}
-    block_b = {v: k for k, comp in enumerate(decomp_b.components) for v in comp.indices}
+    block_a, block_b = decomp_a.block_of, decomp_b.block_of
 
     # a reversible map permutes the composite's vertices, the pure products;
     # images maps each grid cell (i, j) to the cell of its image, in grid order
@@ -625,20 +620,12 @@ def _component_map(decomp: Decomposition, src_idx: int, dst_idx: int,
     dst = decomp.components[dst_idx]
     if src.dim != dst.dim:
         return None
-    local_src = {g: k for k, g in enumerate(src.indices)}
-    local_dst = {g: k for k, g in enumerate(dst.indices)}
-    cols_src = []
-    cols_dst = []
-    for g_src, g_dst in vertex_map.items():
-        cols_src.append(src.space.vertices[local_src[g_src]])
-        cols_dst.append(dst.space.vertices[local_dst[g_dst]])
+    cols_src = [src.coords(g) for g in vertex_map]
+    cols_dst = [dst.coords(g) for g in vertex_map.values()]
     pos = independent_subset(cols_src, ctx)
     if len(pos) != src.dim:
         return None
     base = Matrix.from_cols([cols_src[k] for k in pos], ctx)
     image = Matrix.from_cols([cols_dst[k] for k in pos], ctx)
     mat = image @ base.inverse()
-    for s, d in zip(cols_src, cols_dst):
-        if not veq(mat.apply(s), d, ctx):
-            return None
-    return mat
+    return mat if mat.sends(cols_src, cols_dst) else None

@@ -8,6 +8,10 @@ over asymptotics.  In exact mode the products (``apply``, ``left_apply``,
 ``@``) run over integers: each row or column is scaled once by the lcm of its
 denominators, and each output entry costs a single ``Fraction(n, d)``.
 
+``Matrix.sends`` is the one vertex-image check: does M map each vector of
+one list to the vector at the same position of another?  It is one product
+compared by ``eq``, and every certificate of a map on vertices calls it.
+
 There are two elimination loops: ``Matrix._gauss_jordan``, off which
 ``rref``, ``solve``, ``inverse``, ``nullspace`` and ``det`` read, and the
 incremental echelon of ``independent_subset``, on which ``rank`` and the basis
@@ -181,6 +185,12 @@ class Matrix:
         return self.shape == other.shape and all(
             veq(a, b, self.ctx) for a, b in zip(self.rows, other.rows)
         )
+
+    def sends(self, src: Sequence[Vector], dst: Sequence[Vector]) -> bool:
+        """Whether M maps src[k] to dst[k] for every k: M @ [src] eq [dst]."""
+        if not src:
+            return not dst
+        return (self @ Matrix(tuple(zip(*src)), self.ctx)).eq(Matrix(tuple(zip(*dst)), self.ctx))
 
     # -- elimination ------------------------------------------------------
 

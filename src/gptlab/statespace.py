@@ -48,6 +48,14 @@ class StateSpace:
         """``linalg.span_projector`` of the vertices, built on first use."""
         return span_projector(self.vertices, self.ctx)
 
+    @cached_property
+    def _vertex_keys(self) -> dict:
+        return {tuple(map(self.ctx.key, v)): k for k, v in enumerate(self.vertices)}
+
+    def vertex_index(self, point) -> Optional[int]:
+        """Position of the vertex equal to the point under ``ctx.key``, or None."""
+        return self._vertex_keys.get(tuple(map(self.ctx.key, point)))
+
     def unit_value(self, x: Vector):
         return dot(self.u, x)
 
@@ -78,7 +86,7 @@ class State:
     coords: tuple
 
     def is_pure(self) -> bool:
-        return self.coords in self.space.vertices
+        return self.space.vertex_index(self.coords) is not None
 
 
 @dataclass(frozen=True)

@@ -284,3 +284,18 @@ def brute_force_lris(a_space, b_space, group_a, group_b):
                 continue
             results.add(t.rows)
     return results
+
+
+def kron_lri_identity(witness):
+    """T(a (x) b) == X_b(a) (x) Y_a(b) on every vertex pair, both sides rebuilt
+    from Kronecker products and family-matrix images (the direct reading)."""
+    from gptlab.linalg import kron
+
+    for i, va in enumerate(witness.a_space.vertices):
+        for j, vb in enumerate(witness.b_space.vertices):
+            left = witness.matrix.apply(kron(va, vb))
+            right = kron(witness.x_family[j].matrix.apply(va),
+                         witness.y_family[i].matrix.apply(vb))
+            if left != right:
+                return False
+    return True

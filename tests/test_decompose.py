@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -54,6 +55,20 @@ def test_component_extraction_roundtrip():
             assert dot(comp.space.u, local) == 1
 
 
+def test_component_coords_embed_to_their_vertices():
+    """Component.coords reads each vertex's block coordinates by position; on
+    scrambled composites and sums they still embed back onto the vertex."""
+    rng = random.Random(11)
+    bases = [direct_sum(ss.gbit(), ss.simplex(2)), direct_sum(ss.gbit(), ss.gbit()),
+             min_tensor(ss.simplex(2), ss.gbit()), min_tensor(ss.simplex(1), ss.cross(2))]
+    for k in range(20):
+        base = bases[k % len(bases)]
+        space = transformed(base, unimodular_u_preserving_map(base, rng))
+        for comp in irreducible_components(space).components:
+            for i in comp.indices:
+                assert comp.basis.apply(comp.coords(i)) == space.vertices[i]
+
+
 def test_has_classical_dof_examples():
     assert not has_classical_dof(ss.gbit())
     assert has_classical_dof(ss.simplex(1))
@@ -92,6 +107,17 @@ def test_spaces_isomorphic_identity_and_dimension_mismatch():
     iso = spaces_isomorphic(g, g)
     assert iso is not None and iso.verify()
     assert spaces_isomorphic(g, ss.simplex(3)) is None  # affine dims 2 vs 3
+
+
+def test_isomorphism_verify_rejects_a_wrong_vertex_map():
+    g = ss.gbit()
+    moved = transformed(g, unimodular_u_preserving_map(g, random.Random(7)))
+    iso = spaces_isomorphic(g, moved)
+    assert iso.verify()
+    swapped = list(iso.vertex_map)
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    assert not replace(iso, vertex_map=tuple(swapped)).verify()
+    assert not replace(iso, vertex_map=(0, 0, 1, 2)).verify()
 
 
 def test_isomorphism_scramble_roundtrip():

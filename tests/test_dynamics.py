@@ -7,6 +7,7 @@ import pytest
 from gptlab import statespace as ss
 from gptlab.config import Budgets, BudgetExceededError
 from gptlab.dynamics import (
+    ReversibleMap,
     as_reversible_map,
     induced_face_automorphism,
     is_reversible_map,
@@ -116,6 +117,13 @@ def test_is_reversible_map_examples(d1, square):
     quarter = Matrix.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
     assert is_reversible_map(square, quarter)
     assert not is_reversible_map(square, Matrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
+
+
+def test_verify_rejects_a_perm_the_matrix_does_not_realize(square):
+    group = reversible_maps(square)
+    for g, h in itertools.product(group.elements, repeat=2):
+        forged = ReversibleMap(square, h.perm, g.matrix, g.inverse)
+        assert forged.verify() == (g is h)
 
 
 def test_vertex_permutation_of_quarter_turn(square):

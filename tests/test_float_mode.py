@@ -11,6 +11,7 @@ import pytest
 
 from gptlab.arith import float_context
 from gptlab.dynamics import is_transitive, reversible_maps
+from gptlab.interactions import broadcast_f_map, cnot_map, lri_decompose, partial_broadcaster
 from gptlab.geometry import face_lattice, is_face
 from gptlab.lp import in_hull
 from gptlab.statespace import extremal_effects, make_space
@@ -85,3 +86,15 @@ def test_exact_mode_misses_the_rotations(pentagon):
     space = make_space(approx, (0, 0, 1), "approx-pentagon")
     group = reversible_maps(space)
     assert group.order < 10
+
+
+def test_copied_states_are_pure_up_to_epsilon():
+    """The cnot copier of a float bit writes its vertices up to rounding
+    (about 3e-16 here); purity must compare under eps, not bit for bit."""
+    bit = make_space([(0.1, 0.9), (0.7, 0.3)], (1.0, 1.0), "float bit", ctx=float_context(1e-9))
+    group = reversible_maps(bit)
+    witness = lri_decompose(cnot_map(bit), bit, bit, (group, group))
+    for b_index in range(2):
+        f = broadcast_f_map(partial_broadcaster(witness, b_index))
+        assert f.all_pure
+        assert all(f.image(k).is_pure() for k in range(2))

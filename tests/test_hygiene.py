@@ -120,3 +120,34 @@ def test_every_parameter_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unread = _unread_parameters(tree)
     assert not unread, f"{path.name}: parameters never read ((function, parameter): line) {unread}"
+
+
+def _unread_locals(tree: ast.Module) -> dict:
+    """(function, name) -> line for each name a function binds but never reads.
+
+    ``_``-prefixed names and names declared ``global`` or ``nonlocal`` are left
+    out; an augmented assignment reads its target, and a name that a nested
+    function or comprehension reads counts as read.
+    """
+    unread = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        inner = [n for stmt in node.body for n in ast.walk(stmt)]
+        read = {n.id for n in inner if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read |= {n.target.id for n in inner
+                 if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name)}
+        read |= {name for n in inner if isinstance(n, (ast.Global, ast.Nonlocal))
+                 for name in n.names}
+        for n in inner:
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store) \
+                    and n.id not in read and not n.id.startswith("_"):
+                unread.setdefault((node.name, n.id), n.lineno)
+    return unread
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_local_is_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unread = _unread_locals(tree)
+    assert not unread, f"{path.name}: locals never read ((function, name): line) {unread}"

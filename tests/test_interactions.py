@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from gptlab.decompose import irreducible_components
 from gptlab.dynamics import reversible_maps
 from gptlab.interactions import (
     NormalizationError,
+    _witness,
     broadcast_f_map,
     cnot_map,
     conditional_structure,
@@ -26,7 +29,9 @@ from gptlab.interactions import (
     verify_theorem2,
 )
 from gptlab.linalg import Matrix, kron
-from oracles import brute_force_lris, unimodular_u_preserving_map
+from gptlab.report import witness_from_json
+from gptlab.runner import _witness_json
+from oracles import brute_force_lris, kron_lri_identity, unimodular_u_preserving_map
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +149,42 @@ def test_enumeration_budget_flagging(bit, bit_groups):
     enum = enumerate_lris(bit, bit, bit_groups, budgets=Budgets(lri_assignments=3))
     assert not enum.complete
     assert enum.explored >= 3
+
+
+@pytest.mark.parametrize("build, lris", [(lambda: (ss.simplex(1), ss.simplex(1)), 12),
+                                         (lambda: (ss.gbit(), ss.simplex(1)), 128)],
+                         ids=["bit x bit", "gbit x bit"])
+def test_witness_verify_agrees_with_kron_oracle(build, lris):
+    """Grid-slice witnesses of every composite symmetry verify; swapping one
+    family member for another group element, or T for the next composite
+    symmetry, is rejected, exactly as the kron reading decides."""
+    a, b = build()
+    groups = (reversible_maps(a), reversible_maps(b))
+    composite = ss.min_tensor(a, b)
+    elements = reversible_maps(composite).elements
+    witnesses = 0
+    for k, g in enumerate(elements):
+        w = _witness(a, b, composite, g, groups)
+        if w is None:
+            continue
+        witnesses += 1
+        assert w.verify() and kron_lri_identity(w)
+        forged = [replace(w, matrix=elements[(k + 1) % len(elements)].matrix)]
+        for name, group in (("x_family", groups[0]), ("y_family", groups[1])):
+            family = getattr(w, name)
+            forged += [replace(w, **{name: family[:pos] + (h,) + family[pos + 1:]})
+                       for pos in range(len(family)) for h in group.elements
+                       if h is not family[pos]]
+        for f in forged:
+            assert not f.verify() and not kron_lri_identity(f)
+    assert witnesses == lris
+
+
+def test_witness_json_with_an_edited_perm_fails_verify(bit, bit_groups):
+    data = json.loads(json.dumps(_witness_json(lri_decompose(cnot_map(bit), bit, bit, bit_groups))))
+    assert witness_from_json(bit, bit, bit_groups, data).verify()
+    data["x_perms"][0] = data["x_perms"][0][::-1]
+    assert not witness_from_json(bit, bit, bit_groups, data).verify()
 
 
 def test_cnot_broadcaster_is_classical_copier(bit, bit_groups):
@@ -265,7 +306,7 @@ def test_extract_decomposition_on_gbit_pair_blocks(bit):
     f = broadcast_f_map(pb)
     decomp_expected = irreducible_components(space)
     for i in range(space.nvertices):
-        assert f.table[i] == bit.vertices[decomp_expected.block_of_vertex(i)]
+        assert f.table[i] == bit.vertices[decomp_expected.block_of[i]]
     family = nondisturbing_measurement(pb)
     decomp = extract_decomposition(family)
     assert decomp is not None
