@@ -25,7 +25,7 @@ from .dynamics import (
     is_transitive,
 )
 from .linalg import Matrix, complete_basis, dot, veq
-from .statespace import Effect, StateSpace, _assemble, min_tensor, simplex
+from .statespace import Effect, StateSpace, _assemble, min_tensor, sends_vertices, simplex
 
 
 class NotTransitiveError(ValueError):
@@ -158,7 +158,7 @@ class Isomorphism:
         src, dst, ctx = self.source, self.target, self.source.ctx
         if sorted(self.vertex_map) != list(range(dst.nvertices)):
             return False
-        if not self.matrix.sends(src.vertices, [dst.vertices[k] for k in self.vertex_map]):
+        if not sends_vertices(self.matrix, src, dst, self.vertex_map):
             return False
         # u_target o L = u_source; literal when the source span is full,
         # and on the span it already holds because vertices map to vertices.

@@ -19,7 +19,7 @@ from typing import Optional
 from .config import BudgetExceededError, DEFAULT_BUDGETS, Budgets
 from .geometry import FaceLattice
 from .linalg import Matrix, complete_basis, independent_subset, veq
-from .statespace import StateSpace
+from .statespace import StateSpace, sends_vertices
 
 
 class ReversibleMap:
@@ -29,7 +29,7 @@ class ReversibleMap:
     produce thousands of elements and most consumers only need the perms.
     """
 
-    __slots__ = ("space", "perm", "_geom", "_matrix", "_inverse")
+    __slots__ = ("space", "perm", "_geom", "_matrix", "_inverse", "_realizes_perm")
 
     def __init__(self, space: StateSpace, perm: tuple, matrix: Optional[Matrix] = None,
                  inverse: Optional[Matrix] = None, geom=None):
@@ -38,6 +38,7 @@ class ReversibleMap:
         self._geom = geom
         self._matrix = matrix
         self._inverse = inverse
+        self._realizes_perm = None
 
     @property
     def matrix(self) -> Matrix:
@@ -56,6 +57,17 @@ class ReversibleMap:
                 self._inverse = self.matrix.inverse()
         return self._inverse
 
+    @property
+    def realizes_perm(self) -> bool:
+        """Whether the matrix sends vertex k to vertex perm[k] for every k.
+
+        Checked on first use and kept: neither the perm nor the matrix of a
+        map changes once it is built.
+        """
+        if self._realizes_perm is None:
+            self._realizes_perm = sends_vertices(self.matrix, self.space, self.space, self.perm)
+        return self._realizes_perm
+
     def __repr__(self) -> str:
         return f"ReversibleMap({self.space.label!r}, perm={self.perm})"
 
@@ -68,7 +80,7 @@ class ReversibleMap:
             return False
         if not veq(self.matrix.left_apply(s.u), s.u, ctx):
             return False
-        return self.matrix.sends(s.vertices, [s.vertices[k] for k in self.perm])
+        return self.realizes_perm
 
 
 @dataclass(frozen=True)

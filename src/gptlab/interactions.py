@@ -32,7 +32,7 @@ from .decompose import (
 )
 from .dynamics import ReversibleMap, _as_map, reversible_maps
 from .linalg import Matrix, complete_basis, dot, independent_subset, kron, veq
-from .statespace import Effect, State, StateSpace, min_tensor
+from .statespace import Effect, State, StateSpace, min_tensor, sends_vertices
 
 
 class NormalizationError(ValueError):
@@ -64,20 +64,27 @@ class LriWitness:
     def verify(self) -> bool:
         """Re-check T(a (x) b) = X_b(a) (x) Y_a(b) on every vertex pair.
 
-        Two vertex-image checks: (1) each distinct family member sends its
-        factor's vertices by its perm; (2) T sends a_i (x) b_j to the composite
-        vertex a_i' (x) b_j' with i' = X_j.perm[i] and j' = Y_i.perm[j].  By
-        (1), a_i' = X_j(a_i) and b_j' = Y_i(b_j), so (2) is the identity.
+        Two vertex-image checks: (1) each distinct family member is a map of
+        its factor's vertex list and sends vertex k to vertex perm[k]; (2) T
+        sends a_i (x) b_j to the composite vertex a_i' (x) b_j' with
+        i' = X_j.perm[i] and j' = Y_i.perm[j].  By (1), a_i' = X_j(a_i) and
+        b_j' = Y_i(b_j), so (2) is the identity.
+
+        Check (1) reads ``ReversibleMap.realizes_perm``, which each member
+        computes once and keeps.  That is sound because a member's perm and
+        matrix never change once it is built, so the answer cannot go stale;
+        a member that fails keeps failing, in every witness that holds it.
+        Check (2) depends on T and runs on every call.
         """
         for space, family in ((self.a_space, self.x_family), (self.b_space, self.y_family)):
             for g in set(family):
-                if not g.matrix.sends(space.vertices, [space.vertices[k] for k in g.perm]):
+                if g.space.vertices != space.vertices or not g.realizes_perm:
                     return False
         comp = self.composite
         position = {cell: k for k, cell in enumerate(comp.product_index)}
-        images = [comp.vertices[position[self.x_family[j].perm[i], self.y_family[i].perm[j]]]
-                  for i, j in comp.product_index]
-        return self.matrix.sends(comp.vertices, images)
+        perm = [position[self.x_family[j].perm[i], self.y_family[i].perm[j]]
+                for i, j in comp.product_index]
+        return sends_vertices(self.matrix, comp, comp, perm)
 
     def is_trivial(self) -> bool:
         return len({x.perm for x in self.x_family}) == 1 and \

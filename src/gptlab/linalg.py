@@ -6,11 +6,18 @@ the same code runs in exact and float mode.  Sizes here are tiny (ambient
 dimensions below ~20), so the implementations favour clarity and exactness
 over asymptotics.  In exact mode the products (``apply``, ``left_apply``,
 ``@``) run over integers: each row or column is scaled once by the lcm of its
-denominators, and each output entry costs a single ``Fraction(n, d)``.
+denominators (its ``_scaled`` form), and each output entry costs a single
+``Fraction(n, d)``.
 
 ``Matrix.sends`` is the one vertex-image check: does M map each vector of
-one list to the vector at the same position of another?  It is one product
-compared by ``eq``, and every certificate of a map on vertices calls it.
+one list to the vector at the same position of another?  Every certificate
+of a map on vertices calls it.  In exact mode it compares in integers and
+builds no ``Fraction``: M sends vn/vd to wn/wd exactly when
+sum(rn * vn) * wd == wn[i] * rd * vd for every row rn/rd of M
+(``Matrix.sends_scaled``).  Each state space caches its vertices in
+``_scaled`` form (``StateSpace.vertex_forms``), so a check of vertex k against
+vertex perm[k] (``statespace.sends_vertices``) rescales nothing.  Float mode
+compares the product M @ [src] with [dst] by ``eq``.
 
 There are two elimination loops: ``Matrix._gauss_jordan``, off which
 ``rref``, ``solve``, ``inverse``, ``nullspace`` and ``det`` read, and the
@@ -187,10 +194,33 @@ class Matrix:
         )
 
     def sends(self, src: Sequence[Vector], dst: Sequence[Vector]) -> bool:
-        """Whether M maps src[k] to dst[k] for every k: M @ [src] eq [dst]."""
-        if not src:
-            return not dst
-        return (self @ Matrix(tuple(zip(*src)), self.ctx)).eq(Matrix(tuple(zip(*dst)), self.ctx))
+        """Whether M maps src[k] to dst[k] for every k.
+
+        False when the lists differ in length or a dst vector has the wrong
+        dimension; ValueError when a src vector does not have ``ncols``.
+        """
+        if not self.ctx.exact:
+            if not src:
+                return not dst
+            return (self @ Matrix(tuple(zip(*src)), self.ctx)).eq(Matrix(tuple(zip(*dst)), self.ctx))
+        return self.sends_scaled([_scaled(v) for v in src], [_scaled(w) for w in dst])
+
+    def sends_scaled(self, src: Sequence[tuple], dst: Sequence[tuple]) -> bool:
+        """``sends`` in exact mode, on vectors given in ``_scaled`` form: row
+        rn/rd maps vn/vd to wn[i]/wd iff sum(rn * vn) * wd == wn[i] * rd * vd."""
+        for vn, _ in src:
+            if len(vn) != self.ncols:
+                raise ValueError(f"dimension mismatch: {self.shape} @ {len(vn)}")
+        if len(src) != len(dst):
+            return False
+        rows = self._scaled_rows()
+        for (vn, vd), (wn, wd) in zip(src, dst):
+            if len(wn) != len(rows):
+                return False
+            for (rn, rd), w in zip(rows, wn):
+                if sum(map(mul, rn, vn)) * wd != w * rd * vd:
+                    return False
+        return True
 
     # -- elimination ------------------------------------------------------
 

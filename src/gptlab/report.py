@@ -116,7 +116,11 @@ def mat_from_json(data, ctx: Context = EXACT) -> Matrix:
 
 
 def witness_from_json(a: StateSpace, b: StateSpace, groups: tuple, data: dict):
-    """Rebuild an interaction witness from report JSON and re-verify it."""
+    """Rebuild an interaction witness from report JSON.
+
+    Only the perms are checked, as elements of the given groups; the witness
+    comes back unverified, and the caller runs ``.verify()``.
+    """
     from .interactions import LriWitness
     from .statespace import min_tensor
 
@@ -131,7 +135,8 @@ def witness_from_json(a: StateSpace, b: StateSpace, groups: tuple, data: dict):
 
 
 def broadcaster_from_json(witness, data: dict):
-    """Rebuild a partial broadcaster from report JSON and re-verify it."""
+    """Rebuild a partial broadcaster from report JSON; it comes back
+    unverified, and the caller runs ``.verify()``."""
     from .interactions import PartialBroadcaster
 
     ctx = witness.a_space.ctx

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .arith import EXACT, Context
 from .config import DEFAULT_BUDGETS, Budgets
 from .geometry import column_basis, extreme_indices, extreme_rays
-from .linalg import Matrix, Vector, dot, kron, span_projector, vec, veq
+from .linalg import Matrix, Vector, _scaled, dot, kron, span_projector, vec, veq
 from .lp import HullMembership, in_hull
 
 
@@ -49,12 +49,25 @@ class StateSpace:
         return span_projector(self.vertices, self.ctx)
 
     @cached_property
+    def vertex_forms(self) -> tuple:
+        """Each vertex as (integer numerators, common denominator), the form
+        ``Matrix.sends_scaled`` reads; exact mode only, built on first use."""
+        return tuple(_scaled(v) for v in self.vertices)
+
+    @cached_property
     def _vertex_keys(self) -> dict:
         return {tuple(map(self.ctx.key, v)): k for k, v in enumerate(self.vertices)}
 
     def vertex_index(self, point) -> Optional[int]:
-        """Position of the vertex equal to the point under ``ctx.key``, or None."""
-        return self._vertex_keys.get(tuple(map(self.ctx.key, point)))
+        """Position of the vertex equal to the point, or None.
+
+        Looked up under ``ctx.key``.  In float mode two values within eps can
+        round to different keys, so a miss falls back to a ``veq`` scan.
+        """
+        k = self._vertex_keys.get(tuple(map(self.ctx.key, point)))
+        if k is None and not self.ctx.exact:
+            k = next((i for i, v in enumerate(self.vertices) if veq(v, point, self.ctx)), None)
+        return k
 
     def unit_value(self, x: Vector):
         return dot(self.u, x)
@@ -266,6 +279,18 @@ def transformed(space: StateSpace, lin: Matrix, label: str = "") -> StateSpace:
     verts = [lin.apply(v) for v in space.vertices]
     u = inv.transpose().apply(space.u)  # u' = u o lin^{-1}
     return _assemble(label or f"{space.label}'", verts, u, space.ctx)
+
+
+def sends_vertices(matrix: Matrix, source: StateSpace, target: StateSpace, perm) -> bool:
+    """Whether the matrix sends vertex k of source to vertex perm[k] of target.
+
+    Exact mode reads both spaces' cached ``vertex_forms``; float mode runs
+    ``Matrix.sends`` on the vertices.
+    """
+    if not matrix.ctx.exact:
+        return matrix.sends(source.vertices, [target.vertices[k] for k in perm])
+    forms = target.vertex_forms
+    return matrix.sends_scaled(source.vertex_forms, [forms[k] for k in perm])
 
 
 # -- marginals and products -------------------------------------------------

@@ -299,3 +299,9 @@ def kron_lri_identity(witness):
             if left != right:
                 return False
     return True
+
+
+def product_sends(m, src, dst):
+    """M sends src[k] to dst[k] for every k, read as one product compared
+    entrywise: (M @ [src]) eq [dst], with the vectors as columns."""
+    return (m @ Matrix(tuple(zip(*src)), m.ctx)).eq(Matrix(tuple(zip(*dst)), m.ctx))

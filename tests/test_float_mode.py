@@ -14,7 +14,7 @@ from gptlab.dynamics import is_transitive, reversible_maps
 from gptlab.interactions import broadcast_f_map, cnot_map, lri_decompose, partial_broadcaster
 from gptlab.geometry import face_lattice, is_face
 from gptlab.lp import in_hull
-from gptlab.statespace import extremal_effects, make_space
+from gptlab.statespace import State, extremal_effects, make_space
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +98,15 @@ def test_copied_states_are_pure_up_to_epsilon():
         f = broadcast_f_map(partial_broadcaster(witness, b_index))
         assert f.all_pure
         assert all(f.image(k).is_pure() for k in range(2))
+
+
+def test_vertex_lookup_across_a_rounding_boundary():
+    # 1.5e-9 / eps rounds up to key 2, a value 2e-18 below it rounds down to 1:
+    # the keys differ although the values agree within eps
+    ctx = float_context(1e-9)
+    bit = make_space([(1.5e-9, 1 - 1.5e-9), (1 - 1.5e-9, 1.5e-9)], (1.0, 1.0), ctx=ctx)
+    near = (1.5e-9 - 2e-18, 1 - 1.5e-9)
+    assert ctx.key(near[0]) != ctx.key(bit.vertices[0][0])
+    assert bit.vertex_index(near) == 0
+    assert State(bit, near).is_pure()
+    assert bit.vertex_index((0.5, 0.5)) is None

@@ -1,15 +1,17 @@
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from gptlab import dynamics
 from gptlab import statespace as ss
 from gptlab.config import Budgets
 from gptlab.decompose import irreducible_components
-from gptlab.dynamics import reversible_maps
+from gptlab.dynamics import ReversibleMap, reversible_maps
 from gptlab.interactions import (
     NormalizationError,
     _witness,
@@ -178,6 +180,44 @@ def test_witness_verify_agrees_with_kron_oracle(build, lris):
         for f in forged:
             assert not f.verify() and not kron_lri_identity(f)
     assert witnesses == lris
+
+
+def test_enumeration_checks_each_factor_element_once(monkeypatch):
+    # every witness re-verifies, but each factor element's perm check runs once:
+    # the 8 + 2 elements of the factor groups, across all 256 witnesses
+    a, b = ss.direct_sum(ss.gbit(), ss.point()), ss.simplex(1)
+    groups = (reversible_maps(a), reversible_maps(b))
+    checks = Counter()
+    real = dynamics.sends_vertices
+
+    def spy(matrix, source, target, perm):
+        checks[source.label, tuple(perm)] += 1
+        return real(matrix, source, target, perm)
+
+    monkeypatch.setattr(dynamics, "sends_vertices", spy)
+    enum = enumerate_lris(a, b, groups)
+    assert len(enum) == 256
+    assert max(checks.values()) == 1
+    assert sum(checks.values()) == 10
+
+
+def test_cached_member_check_still_rejects_a_forged_member():
+    a, b = ss.gbit(), ss.simplex(1)
+    groups = (reversible_maps(a), reversible_maps(b))
+    valid = groups[0].elements[1]
+    assert valid.verify()  # the valid element's check runs (and is kept) first
+    other = next(g for g in groups[0].elements if g.perm != valid.perm)
+    forged = ReversibleMap(a, valid.perm, other.matrix, other.inverse)
+    assert not forged.verify()
+    holding = 0
+    for _, w in enumerate_lris(a, b, groups):
+        for pos, x in enumerate(w.x_family):
+            if x is valid:
+                holding += 1
+                assert not replace(w, x_family=w.x_family[:pos] + (forged,) + w.x_family[pos + 1:]).verify()
+        assert w.verify()
+    assert holding > 0
+    assert valid.verify() and not forged.verify()
 
 
 def test_witness_json_with_an_edited_perm_fails_verify(bit, bit_groups):

@@ -16,7 +16,7 @@ from gptlab.linalg import (
     span_projector,
     span_rank,
 )
-from oracles import hand_rank, leibniz_det, unpruned_symmetries
+from oracles import hand_rank, leibniz_det, product_sends, unpruned_symmetries
 
 
 def test_rank_identity():
@@ -187,6 +187,58 @@ def test_exact_products_match_fraction_dot():
         assert (a @ b).rows == tuple(tuple(dot(r, b.col(j)) for j in range(k))
                                      for r in a.rows)
         assert all(isinstance(x, Fraction) for x in a.apply(v))
+
+
+def test_sends_matches_product_oracle():
+    # the integer cross-multiplied check against M @ [src] eq [dst], on mixed
+    # and negative denominators, whole zero rows, and targets one entry off
+    rng = random.Random(13)
+
+    def entry():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rng.randint(-5, 5)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    for _ in range(80):
+        m, n, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[entry() for _ in range(n)] for _ in range(m)]
+        rows[rng.randrange(m)] = [0] * n
+        a = Matrix(tuple(tuple(r) for r in rows))
+        src = [tuple(entry() for _ in range(n)) for _ in range(k)]
+        dst = [a.apply(v) for v in src]
+        off = [list(w) for w in dst]
+        off[rng.randrange(k)][rng.randrange(m)] += Fraction(1, rng.randint(1, 7))
+        off = [tuple(w) for w in off]
+        other = [tuple(entry() for _ in range(m)) for _ in range(k)]
+        for target in (dst, off, other):
+            assert a.sends(src, target) is product_sends(a, src, target)
+        assert a.sends(src, dst) and not a.sends(src, off)
+        # mismatched lengths and target dimensions are False, source dimensions raise
+        for target in (dst[:-1], dst + [dst[0]], [w + (0,) for w in dst]):
+            assert not a.sends(src, target) and not product_sends(a, src, target)
+        wide = [v + (1,) for v in src]
+        with pytest.raises(ValueError):
+            product_sends(a, wide, dst)
+        with pytest.raises(ValueError):
+            a.sends(wide, dst)
+        assert a.sends([], []) and not a.sends([], dst)
+
+
+def test_float_sends_matches_product_oracle():
+    ctx = float_context(1e-9)
+    rng = random.Random(17)
+    for _ in range(40):
+        m, n, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a = Matrix(tuple(tuple(rng.uniform(-2, 2) for _ in range(n)) for _ in range(m)), ctx)
+        src = [tuple(rng.uniform(-2, 2) for _ in range(n)) for _ in range(k)]
+        dst = [a.apply(v) for v in src]
+        for shift in (0.0, 1e-12, 1e-6):
+            target = [tuple(x + shift for x in w) for w in dst]
+            assert a.sends(src, target) is product_sends(a, src, target)
+            assert a.sends(src, target) is (shift < ctx.eps)
 
 
 def _complete_by_rank_loop(cols, d):
