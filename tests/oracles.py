@@ -4,7 +4,9 @@ These deliberately avoid the library's LP/search code paths: hull membership
 is re-derived by Fourier-Motzkin elimination, faces by an integer grid of
 supporting functionals, symmetry groups by unpruned permutation search, and
 decompositions by exhaustive set-partition search.  They only run at tiny
-sizes.
+sizes.  ``fraction_phase1`` is the phase-1 simplex as it ran on a Fraction
+tableau, before ``lp`` pivoted in integers; it pins the certificates, pivot
+for pivot.
 """
 
 from __future__ import annotations
@@ -12,8 +14,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from typing import Sequence
 
-from gptlab.linalg import Matrix, dot
+from gptlab.arith import EXACT, Context
+from gptlab.linalg import Matrix, Vector, dot
+from gptlab.lp import LpResult
 
 
 def fm_in_hull(p, gens):
@@ -305,3 +310,97 @@ def product_sends(m, src, dst):
     """M sends src[k] to dst[k] for every k, read as one product compared
     entrywise: (M @ [src]) eq [dst], with the vectors as columns."""
     return (m @ Matrix(tuple(zip(*src)), m.ctx)).eq(Matrix(tuple(zip(*dst)), m.ctx))
+
+
+def fraction_phase1(a_rows: Sequence[Vector], b: Vector, nvars: int,
+                    ctx: Context = EXACT) -> LpResult:
+    """Phase-1 simplex on a dense tableau of context scalars, kept as the
+    reference for ``lp.solve_equality_feasibility``: the same Bland pivots,
+    every entry divided out at each pivot (Fractions in exact mode)."""
+    m = len(a_rows)
+    if m != len(b):
+        raise ValueError("row/rhs mismatch")
+    one, zero = ctx.one(), ctx.zero()
+    a_rows = [tuple(ctx.num(x) for x in row) for row in a_rows]
+    b = tuple(ctx.num(x) for x in b)
+
+    # Normalize to nonnegative right-hand sides, remembering the row flips.
+    flip = [ctx.sign(bi) < 0 for bi in b]
+    rows = []
+    rhs = []
+    for i in range(m):
+        coeff = list(a_rows[i])
+        bi = b[i]
+        if flip[i]:
+            coeff = [-x for x in coeff]
+            bi = -bi
+        rows.append(coeff + [one if j == i else zero for j in range(m)] + [bi])
+        rhs.append(bi)
+
+    total = nvars + m  # structural + artificial columns
+    basis = [nvars + i for i in range(m)]
+
+    # Objective row for min(sum of artificials): reduced costs under the
+    # all-artificial basis are c_j - sum of column entries.
+    obj = [zero] * (total + 1)
+    for j in range(total + 1):
+        s = zero
+        for r in rows:
+            s = s + r[j]
+        cj = one if nvars <= j < total else zero
+        obj[j] = cj - s
+
+    while True:
+        enter = None
+        for j in range(total):
+            if ctx.lt(obj[j], zero):
+                enter = j  # Bland: smallest index
+                break
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for r in range(m):
+            arj = rows[r][enter]
+            if ctx.lt(zero, arj):
+                ratio = rows[r][total] / arj
+                if best is None or ctx.lt(ratio, best) or (
+                    ctx.eq(ratio, best) and basis[r] < basis[leave]
+                ):
+                    best = ratio
+                    leave = r
+        if leave is None:
+            raise RuntimeError("phase-1 objective unbounded; malformed tableau")
+        piv = rows[leave][enter]
+        rows[leave] = [x / piv for x in rows[leave]]
+        for r in range(m):
+            if r != leave and not ctx.is_zero(rows[r][enter]):
+                f = rows[r][enter]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[leave])]
+        if not ctx.is_zero(obj[enter]):
+            f = obj[enter]
+            obj = [x - f * y for x, y in zip(obj, rows[leave])]
+        basis[leave] = enter
+
+    value = zero
+    for r in range(m):
+        if basis[r] >= nvars:
+            value = value + rows[r][total]
+
+    if ctx.is_zero(value):
+        x = [zero] * nvars
+        for r in range(m):
+            if basis[r] < nvars:
+                x[basis[r]] = rows[r][total]
+        return LpResult(feasible=True, x=tuple(x))
+
+    # Farkas: y' = c_B B^{-1}; the artificial block of the tableau is B^{-1}.
+    yprime = []
+    for i in range(m):
+        s = zero
+        for r in range(m):
+            if basis[r] >= nvars:
+                s = s + rows[r][nvars + i]
+        yprime.append(s)
+    y = tuple(-yi if fl else yi for yi, fl in zip(yprime, flip))
+    return LpResult(feasible=False, farkas=y)

@@ -37,6 +37,19 @@ def test_pentagon_center_in_hull(pentagon):
     assert res.member
 
 
+def test_pentagon_hull_certificates_stay_float(pentagon):
+    # Float mode keeps its own pivot loop: weights and covectors are floats.
+    ctx, gens = pentagon.ctx, pentagon.vertices
+    inside = (0.25, -0.125, 1.0)
+    res = in_hull(inside, gens, ctx)
+    assert res.member and all(type(w) is float for w in res.weights)
+    assert res.verify(inside, gens, ctx)
+    outside = (1.5, 0.25, 1.0)
+    res = in_hull(outside, gens, ctx)
+    assert not res.member and all(type(h) is float for h in res.separating)
+    assert res.verify(outside, gens, ctx)
+
+
 def test_pentagon_edge_is_face(pentagon):
     # vertices 0 and 1 are adjacent on the circle
     order = sorted(range(5), key=lambda i: math.atan2(pentagon.vertices[i][1],
