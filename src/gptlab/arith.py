@@ -10,6 +10,7 @@ pentagons).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -30,8 +31,8 @@ class Context:
     def __post_init__(self):
         if self.mode not in ("exact", "float"):
             raise ValueError(f"unknown arithmetic mode {self.mode!r}")
-        if self.mode == "float" and self.eps <= 0:
-            raise ValueError("float mode needs a positive epsilon")
+        if self.mode == "float" and not 0 < self.eps < math.inf:
+            raise ValueError(f"float mode needs a finite positive epsilon, got {self.eps!r}")
 
     @property
     def exact(self) -> bool:
@@ -60,9 +61,6 @@ class Context:
     def lt(self, a: Scalar, b: Scalar) -> bool:
         """Strict comparison; in float mode 'strict' means beyond epsilon."""
         return a < b if self.exact else b - a > self.eps
-
-    def le(self, a: Scalar, b: Scalar) -> bool:
-        return a <= b if self.exact else a - b <= self.eps
 
     def sign(self, x: Scalar) -> int:
         if self.is_zero(x):

@@ -107,6 +107,8 @@ def _cmd_run(args, config: RunConfig) -> int:
             print(f"{rec.check_id:24s} {rec.verdict}")
         bad = sum(1 for r in report.checks if r.verdict not in ("pass", "inapplicable"))
         print(f"{len(report.checks)} checks, {bad} failing")
+    if any(r.verdict == "budget_exceeded" for r in report.checks):
+        return 2
     return 0 if report.all_green else 1
 
 
@@ -192,6 +194,8 @@ def _cmd_verify(args, config: RunConfig) -> int:
     else:
         print(f"{a.label} (x) {b.label}: {report.verdict} "
               f"({report.trivial}/{report.total} trivial)")
+    if report.verdict == "budget_exceeded":
+        return 2
     return 0 if report.verdict in ("pass", "inapplicable") else 1
 
 
@@ -199,6 +203,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.budget < 1:
+            parser.error(f"argument --budget: must be at least 1, got {args.budget}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     config = _config(args)

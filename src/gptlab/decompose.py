@@ -18,7 +18,6 @@ from typing import Optional
 from .config import DEFAULT_BUDGETS, Budgets
 from .dynamics import (
     SymmetryGroup,
-    _VertexGeometry,
     _map_matrix,
     _search_vertex_maps,
     _vertex_map,
@@ -175,12 +174,11 @@ def spaces_isomorphic(s1: StateSpace, s2: StateSpace,
     """Search for a u-preserving linear bijection of vertex sets."""
     if s1.nvertices != s2.nvertices:
         return None
-    g1, g2 = _VertexGeometry(s1), _VertexGeometry(s2)
-    perms = _search_vertex_maps(g1, g2, budgets.group_nodes, find_all=False)
+    perms = _search_vertex_maps(s1, s2, budgets.group_nodes, find_all=False)
     if not perms:
         return None
     sigma = perms[0]
-    return Isomorphism(s1, s2, _map_matrix(g1, g2, sigma), sigma)
+    return Isomorphism(s1, s2, _map_matrix(s1, s2, sigma), sigma)
 
 
 # -- classical subsystem (simplex factorization) -----------------------------

@@ -8,6 +8,9 @@ the target's entry by entry.  A bijection does that exactly when it extends
 to a linear map (Bremner, Dutour Sikirić, Pasechnik, Rehn & Schürmann,
 "Computing symmetry groups of polyhedra", 2014), so the search is complete
 without ever touching all n! permutations and needs no check at its leaves.
+The search reads each space's cached ``vertex_projector`` and
+``vertex_classes``; ``_map_matrix`` turns a bijection into a matrix on the
+source's cached ``span_frame``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Optional
 
 from .config import BudgetExceededError, DEFAULT_BUDGETS, Budgets
 from .geometry import FaceLattice
-from .linalg import Matrix, complete_basis, independent_subset, veq
+from .linalg import Matrix, veq
 from .statespace import StateSpace, sends_vertices
 
 
@@ -29,13 +32,12 @@ class ReversibleMap:
     produce thousands of elements and most consumers only need the perms.
     """
 
-    __slots__ = ("space", "perm", "_geom", "_matrix", "_inverse", "_realizes_perm")
+    __slots__ = ("space", "perm", "_matrix", "_inverse", "_realizes_perm")
 
     def __init__(self, space: StateSpace, perm: tuple, matrix: Optional[Matrix] = None,
-                 inverse: Optional[Matrix] = None, geom=None):
+                 inverse: Optional[Matrix] = None):
         self.space = space
         self.perm = tuple(perm)
-        self._geom = geom
         self._matrix = matrix
         self._inverse = inverse
         self._realizes_perm = None
@@ -43,18 +45,14 @@ class ReversibleMap:
     @property
     def matrix(self) -> Matrix:
         if self._matrix is None:
-            self._matrix = _map_matrix(self._geom, self._geom, self.perm)
+            self._matrix = _map_matrix(self.space, self.space, self.perm)
         return self._matrix
 
     @property
     def inverse(self) -> Matrix:
         if self._inverse is None:
-            n = len(self.perm)
-            inv_perm = tuple(sorted(range(n), key=lambda i: self.perm[i]))
-            if self._geom is not None:
-                self._inverse = _map_matrix(self._geom, self._geom, inv_perm)
-            else:
-                self._inverse = self.matrix.inverse()
+            inv_perm = tuple(sorted(range(len(self.perm)), key=self.perm.__getitem__))
+            self._inverse = _map_matrix(self.space, self.space, inv_perm)
         return self._inverse
 
     @property
@@ -114,59 +112,28 @@ class SymmetryGroup:
         return self._by_perm[tuple(range(self.space.nvertices))]
 
 
-class _VertexGeometry:
-    """Vertex projector and span data for one vertex list.
-
-    ``gram`` holds the rows of the space's vertex projector P = W (W^T W)^-1 W^T,
-    the orthogonal projector of R^n onto the column space of the n x d vertex
-    matrix V.  Its kernel is the space of linear dependencies among the
-    vertices, so a vertex bijection sigma satisfies P'[sigma i][sigma j] =
-    P[i][j] for all i, j exactly when it maps dependencies onto dependencies,
-    that is, exactly when it extends to a linear map on the spans.
-    """
-
-    def __init__(self, space: StateSpace):
-        ctx = space.ctx
-        verts = space.vertices
-        self.space = space
-        self.ctx = ctx
-        self.n = len(verts)
-
-        ref = independent_subset(verts, ctx)
-        self.ref = ref
-        self.r = len(ref)
-
-        # Complete the reference vertices to an ambient basis with standard
-        # basis vectors; used to extend span maps by the identity.
-        d = space.ambient_dim
-        self.full_basis = Matrix.from_cols(complete_basis([verts[i] for i in ref], d, ctx), ctx)
-        self.full_basis_inv = self.full_basis.inverse()
-        self.n_complement = d - self.r
-
-        self.gram = space.vertex_projector.rows
-        self.classes = tuple(
-            (ctx.key(row[i]), tuple(sorted(ctx.key(v) for v in row)))
-            for i, row in enumerate(self.gram)
-        )
-
-
-def _search_vertex_maps(src: _VertexGeometry, dst: _VertexGeometry,
+def _search_vertex_maps(src: StateSpace, dst: StateSpace,
                         budget: int, find_all: bool) -> list:
     """Vertex bijections src -> dst extending to linear maps on the spans.
 
-    These are the bijections that carry src's vertex projector onto dst's.
-    Each placed vertex is compared with every vertex placed before it, and
-    its own diagonal entry is part of its class, so a full assignment matches
-    all n^2 entries and is accepted as it stands.
+    These are the bijections that carry src's vertex projector P onto dst's
+    P': the kernel of P is the space of linear dependencies among the
+    vertices, so P'[sigma i][sigma j] = P[i][j] for all i, j exactly when
+    sigma maps dependencies onto dependencies.  A vertex goes only to a vertex
+    of its class (``vertex_classes``, which holds its diagonal entry), and each
+    placed vertex is compared with every vertex placed before it, so a full
+    assignment matches all n^2 entries and is accepted as it stands.  Span
+    ranks are compared too, since float-mode classes are quantized keys.
     """
     ctx = src.ctx
-    n = src.n
-    if n != dst.n or src.r != dst.r:
+    n = src.nvertices
+    if n != dst.nvertices or len(src.span_frame[0]) != len(dst.span_frame[0]):
         return []
-    if sorted(src.classes) != sorted(dst.classes):
+    src_classes, dst_classes = src.vertex_classes, dst.vertex_classes
+    if sorted(src_classes) != sorted(dst_classes):
         return []
 
-    cand = [tuple(j for j in range(n) if dst.classes[j] == src.classes[i])
+    cand = [tuple(j for j in range(n) if dst_classes[j] == src_classes[i])
             for i in range(n)]
     order = sorted(range(n), key=lambda i: len(cand[i]))
 
@@ -174,8 +141,9 @@ def _search_vertex_maps(src: _VertexGeometry, dst: _VertexGeometry,
     # inner loop compares ints; labels follow ctx.key, as the classes do.
     labels: dict = {}
     src_gram, dst_gram = (
-        [[labels.setdefault(ctx.key(x), len(labels)) for x in row] for row in geom.gram]
-        for geom in (src, dst)
+        [[labels.setdefault(ctx.key(x), len(labels)) for x in row]
+         for row in space.vertex_projector.rows]
+        for space in (src, dst)
     )
 
     sigma = [-1] * n
@@ -214,30 +182,32 @@ def _search_vertex_maps(src: _VertexGeometry, dst: _VertexGeometry,
     return found
 
 
-def _map_matrix(src: _VertexGeometry, dst: _VertexGeometry, sigma) -> Matrix:
-    """Ambient matrix with v_i -> w_sigma(i), identity-like off the span."""
-    ctx = src.ctx
-    d_dst = dst.space.ambient_dim
-    cols = [dst.space.vertices[sigma[i]] for i in src.ref]
-    if src.space is dst.space:
-        # identity on the chosen complement of the span
-        cols += [src.full_basis.col(src.r + k) for k in range(src.n_complement)]
+def _map_matrix(src: StateSpace, dst: StateSpace, sigma) -> Matrix:
+    """Ambient matrix sending src vertex i to dst vertex sigma[i].
+
+    It is read off src's ``span_frame``: each ref vertex goes to its image,
+    and each completing unit vector to itself when src is dst (a reversible
+    map is the identity off the span) or to zero otherwise.
+    """
+    ref, basis, inverse = src.span_frame
+    cols = [dst.vertices[sigma[i]] for i in ref]
+    rest = range(len(ref), basis.ncols)
+    if src is dst:
+        cols += [basis.col(k) for k in rest]
     else:
-        zero = tuple(ctx.zero() for _ in range(d_dst))
-        cols += [zero] * src.n_complement
-    return Matrix(tuple(zip(*cols)), ctx) @ src.full_basis_inv
+        cols += [(src.ctx.zero(),) * dst.ambient_dim for _ in rest]
+    return Matrix(tuple(zip(*cols)), src.ctx) @ inverse
 
 
 def reversible_maps(space: StateSpace, budgets: Budgets = DEFAULT_BUDGETS) -> SymmetryGroup:
     """All reversible transformations of the space, as a materialized group."""
-    geom = _VertexGeometry(space)
-    perms = sorted(_search_vertex_maps(geom, geom, budgets.group_nodes, find_all=True))
+    perms = sorted(_search_vertex_maps(space, space, budgets.group_nodes, find_all=True))
     perm_set = set(perms)
     n = space.nvertices
     for perm in perms:
         if tuple(sorted(range(n), key=lambda i: perm[i])) not in perm_set:
             raise RuntimeError("symmetry search returned a set not closed under inverse")
-    return SymmetryGroup(space, tuple(ReversibleMap(space, perm, geom=geom) for perm in perms))
+    return SymmetryGroup(space, tuple(ReversibleMap(space, perm) for perm in perms))
 
 
 def _greedy_generators(group: SymmetryGroup) -> tuple:

@@ -30,7 +30,7 @@ from .decompose import (
     has_classical_dof,
     irreducible_components,
 )
-from .dynamics import ReversibleMap, _as_map, reversible_maps
+from .dynamics import ReversibleMap, _as_map, _map_matrix, reversible_maps
 from .linalg import Matrix, complete_basis, dot, independent_subset, kron, veq
 from .statespace import Effect, State, StateSpace, min_tensor, sends_vertices
 
@@ -570,7 +570,6 @@ def conditional_structure(t: Matrix, a: StateSpace, b: StateSpace) -> Optional[B
     local reversible maps, possibly permuting the block grid.  Returns None
     when any block image splits or fails to factor.
     """
-    ctx = a.ctx
     composite = min_tensor(a, b)
     g = _as_map(composite, t)
     if g is None:
@@ -605,8 +604,8 @@ def conditional_structure(t: Matrix, a: StateSpace, b: StateSpace) -> Optional[B
                     return None  # first output depends on the second input
                 if y_vertex_map.setdefault(j, jj) != jj:
                     return None
-        x_mat = _component_map(decomp_a, src[0], dst[0], x_vertex_map, ctx)
-        y_mat = _component_map(decomp_b, src[1], dst[1], y_vertex_map, ctx)
+        x_mat = _component_map(decomp_a, src[0], dst[0], x_vertex_map)
+        y_mat = _component_map(decomp_b, src[1], dst[1], y_vertex_map)
         if x_mat is None or y_mat is None:
             return None
         blocks[src] = (dst, x_mat, y_mat)
@@ -621,18 +620,13 @@ def conditional_structure(t: Matrix, a: StateSpace, b: StateSpace) -> Optional[B
 
 
 def _component_map(decomp: Decomposition, src_idx: int, dst_idx: int,
-                   vertex_map: dict, ctx) -> Optional[Matrix]:
-    """Linear map between component coordinate spaces realizing a vertex map."""
+                   vertex_map: dict) -> Optional[Matrix]:
+    """Linear map between component coordinate spaces realizing a vertex map
+    (owning-space vertex index -> owning-space vertex index), or None."""
     src = decomp.components[src_idx]
     dst = decomp.components[dst_idx]
     if src.dim != dst.dim:
         return None
-    cols_src = [src.coords(g) for g in vertex_map]
-    cols_dst = [dst.coords(g) for g in vertex_map.values()]
-    pos = independent_subset(cols_src, ctx)
-    if len(pos) != src.dim:
-        return None
-    base = Matrix.from_cols([cols_src[k] for k in pos], ctx)
-    image = Matrix.from_cols([cols_dst[k] for k in pos], ctx)
-    mat = image @ base.inverse()
-    return mat if mat.sends(cols_src, cols_dst) else None
+    sigma = [dst.indices.index(vertex_map[i]) for i in src.indices]
+    mat = _map_matrix(src.space, dst.space, sigma)
+    return mat if sends_vertices(mat, src.space, dst.space, sigma) else None

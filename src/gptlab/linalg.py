@@ -19,12 +19,12 @@ sum(rn * vn) * wd == wn[i] * rd * vd for every row rn/rd of M
 vertex perm[k] (``statespace.sends_vertices``) rescales nothing.  Float mode
 compares the product M @ [src] with [dst] by ``eq``.
 
-There are two elimination loops: ``Matrix._gauss_jordan``, off which
-``rref``, ``solve``, ``inverse``, ``nullspace`` and ``det`` read, and the
-incremental echelon of ``independent_subset``, on which ``rank`` and the basis
-helpers build.  Both decide zero with ``ctx.is_zero`` on the working entries;
-a Gauss-Jordan pivot is the first nonzero entry of its column in exact mode
-and the largest in magnitude in float mode.
+There are two elimination loops: the Gauss-Jordan loop of ``Matrix.rref``,
+off which ``inverse`` reads, and the incremental echelon of
+``independent_subset``, on which ``rank`` and the basis helpers build.  Both
+decide zero with ``ctx.is_zero`` on the working entries; a Gauss-Jordan pivot
+is the first nonzero entry of its column in exact mode and the largest in
+magnitude in float mode.
 """
 
 from __future__ import annotations
@@ -185,9 +185,6 @@ class Matrix:
                 rows.append(tuple(x * y for x in ra for y in rb))
         return Matrix(tuple(rows), self.ctx)
 
-    def is_zero(self) -> bool:
-        return all(self.ctx.is_zero(x) for r in self.rows for x in r)
-
     def eq(self, other: "Matrix") -> bool:
         return self.shape == other.shape and all(
             veq(a, b, self.ctx) for a, b in zip(self.rows, other.rows)
@@ -228,15 +225,14 @@ class Matrix:
         """Rank: the size of a greedy independent subset of the rows."""
         return len(independent_subset(self.rows, self.ctx))
 
-    def _gauss_jordan(self) -> tuple:
-        """The one Gauss-Jordan loop: (reduced rows, pivot columns, product of
-        the pivots times the sign of the row swaps)."""
+    def rref(self) -> tuple:
+        """Reduced row echelon form, by the one Gauss-Jordan loop; returns
+        (Matrix, pivot column tuple)."""
         ctx = self.ctx
         m = [list(r) for r in self.rows]
         nr = len(m)
         nc = len(m[0]) if m else 0
         pivots = []
-        det = ctx.one()
         r = 0
         for c in range(nc):
             if r == nr:
@@ -250,11 +246,8 @@ class Matrix:
                             break
             if pivot_row is None:
                 continue
-            if pivot_row != r:
-                m[r], m[pivot_row] = m[pivot_row], m[r]
-                det = -det
+            m[r], m[pivot_row] = m[pivot_row], m[r]
             piv = m[r][c]
-            det *= piv
             m[r] = [x / piv for x in m[r]]
             for i in range(nr):
                 if i != r and not ctx.is_zero(m[i][c]):
@@ -262,48 +255,7 @@ class Matrix:
                     m[i] = [x - f * y for x, y in zip(m[i], m[r])]
             pivots.append(c)
             r += 1
-        return m, tuple(pivots), det
-
-    def rref(self) -> tuple:
-        """Reduced row echelon form; returns (Matrix, pivot column tuple)."""
-        m, pivots, _ = self._gauss_jordan()
-        return Matrix(tuple(tuple(row) for row in m), self.ctx), pivots
-
-    def nullspace(self) -> list:
-        """Canonical basis (RREF-derived) of {x : M x = 0}, as vectors."""
-        ctx = self.ctx
-        red, pivots = self.rref()
-        free = [j for j in range(self.ncols) if j not in pivots]
-        basis = []
-        for j in free:
-            v = [ctx.zero()] * self.ncols
-            v[j] = ctx.one()
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.rows[r][j]
-            basis.append(tuple(v))
-        return basis
-
-    def solve(self, b: Vector):
-        """One solution of M x = b (free variables set to 0), or None."""
-        ctx = self.ctx
-        aug = Matrix(tuple(tuple(r) + (bv,) for r, bv in zip(self.rows, b, strict=True)), ctx)
-        red, pivots = aug.rref()
-        if self.ncols in pivots:
-            return None  # inconsistent: pivot in the augmented column
-        x = [ctx.zero()] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.rows[r][self.ncols]
-        for r in range(len(pivots), red.nrows):
-            if not ctx.is_zero(red.rows[r][self.ncols]):
-                return None
-        return tuple(x)
-
-    def det(self) -> Scalar:
-        """Determinant: the signed product of the Gauss-Jordan pivots."""
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        _, pivots, det = self._gauss_jordan()
-        return det if len(pivots) == self.nrows else self.ctx.zero()
+        return Matrix(tuple(tuple(row) for row in m), ctx), tuple(pivots)
 
     def inverse(self):
         """Inverse matrix, or None when singular."""
@@ -356,18 +308,3 @@ def span_projector(vectors: Sequence[Vector], ctx: Context = EXACT) -> Matrix:
     w = Matrix(tuple(tuple(v[j] for j in basis) for v in vectors), ctx)
     wt = w.transpose()
     return w @ ((wt @ w).inverse() @ wt)
-
-
-def span_rank(vectors: Sequence[Vector], ctx: Context = EXACT) -> int:
-    return len(independent_subset(vectors, ctx))
-
-
-def dependency_basis(vectors: Sequence[Vector], ctx: Context = EXACT) -> list:
-    """Canonical basis of the linear dependencies among the given vectors.
-
-    Returns coefficient vectors c with sum_i c[i] * vectors[i] = 0.
-    """
-    if not vectors:
-        return []
-    mat = Matrix.from_cols(vectors, ctx)
-    return mat.nullspace()

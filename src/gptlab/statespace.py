@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 from .arith import EXACT, Context
 from .config import DEFAULT_BUDGETS, Budgets
 from .geometry import column_basis, extreme_indices, extreme_rays
-from .linalg import Matrix, Vector, _scaled, dot, kron, span_projector, vec, veq
+from .linalg import (Matrix, Vector, _scaled, complete_basis, dot, independent_subset, kron,
+                     span_projector, vec, veq)
 from .lp import HullMembership, in_hull
 
 
@@ -47,6 +48,25 @@ class StateSpace:
     def vertex_projector(self) -> Matrix:
         """``linalg.span_projector`` of the vertices, built on first use."""
         return span_projector(self.vertices, self.ctx)
+
+    @cached_property
+    def vertex_classes(self) -> tuple:
+        """Per vertex, its diagonal projector entry and its sorted projector
+        row, under ``ctx.key``: symmetries and isomorphisms map each vertex
+        to a vertex of the same class.  Built on first use."""
+        key = self.ctx.key
+        return tuple((key(row[i]), tuple(sorted(map(key, row))))
+                     for i, row in enumerate(self.vertex_projector.rows))
+
+    @cached_property
+    def span_frame(self) -> tuple:
+        """(ref, basis, inverse), built on first use: the positions of a greedy
+        vertex basis of the span, those vertices completed by unit vectors to
+        an ambient basis (as columns), and its inverse."""
+        ref = independent_subset(self.vertices, self.ctx)
+        cols = complete_basis([self.vertices[i] for i in ref], self.ambient_dim, self.ctx)
+        basis = Matrix.from_cols(cols, self.ctx)
+        return tuple(ref), basis, basis.inverse()
 
     @cached_property
     def vertex_forms(self) -> tuple:

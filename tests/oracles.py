@@ -163,6 +163,25 @@ def finest_valid_partition(vertices):
     return sorted([sorted(b) for b in minimal[0]])
 
 
+def dependency_basis(vectors):
+    """Canonical basis of the linear dependencies among the vectors: the
+    coefficient vectors c with sum_i c[i] * vectors[i] = 0, one per non-pivot
+    column of the RREF of the matrix whose columns are the vectors."""
+    if not vectors:
+        return []
+    red, pivots = Matrix.from_cols(vectors).rref()
+    basis = []
+    for j in range(len(vectors)):
+        if j in pivots:
+            continue
+        c = [Fraction(0)] * len(vectors)
+        c[j] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            c[pc] = -red.rows[r][j]
+        basis.append(tuple(c))
+    return basis
+
+
 def unpruned_symmetries(vertices, u):
     """All vertex permutations that extend to u-preserving linear maps.
 
@@ -171,8 +190,6 @@ def unpruned_symmetries(vertices, u):
     linear extendability, and u-preservation is automatic because vertices
     map to vertices).
     """
-    from gptlab.linalg import dependency_basis
-
     n = len(vertices)
     deps = dependency_basis(vertices)
     perms = []

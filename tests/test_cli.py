@@ -145,6 +145,42 @@ def test_exceeded_group_budget_exits_two(gbit_json, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: symmetry search exceeded")
 
 
+def test_verify_over_budget_exits_two(gbit_json, capsys):
+    from gptlab import cli
+
+    assert cli.main(["--budget", "10", "verify", str(gbit_json), str(gbit_json)]) == 2
+    assert "budget_exceeded" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("expect, code", [("", 2), (" expect budget_exceeded", 0)],
+                         ids=["no-expect", "expect-budget-exceeded"])
+def test_run_over_budget_exits_two_unless_expected(tmp_path, capsys, expect, code):
+    from gptlab import cli
+
+    scen = tmp_path / "budget.gpt"
+    scen.write_text(f"space G = gbit()\ncheck theorem2 G G{expect}\n")
+    assert cli.main(["--budget", "10", "run", str(scen)]) == code
+    assert "c01-theorem2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_is_a_usage_error(gbit_json, capsys, budget):
+    from gptlab import cli
+
+    assert cli.main(["--budget", budget, "verify", str(gbit_json), str(gbit_json)]) == 2
+    assert "--budget: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", ["group", "run"])
+def test_float_mode_rejects_non_finite_or_non_positive_eps(gbit_json, capsys, eps, command):
+    from gptlab import cli
+
+    args = [str(gbit_json)] if command == "group" else ["--demo"]
+    assert cli.main(["--mode", "float", "--eps", eps, command, *args]) == 2
+    assert capsys.readouterr().err.startswith("error: float mode needs a finite positive epsilon")
+
+
 def test_lri_subcommand_rejects_singular_map(tmp_path, d1_json):
     map_path = tmp_path / "singular.json"
     map_path.write_text(json.dumps({"matrix": [[0, 1, 1, 0], [0, 0, 0, 0],

@@ -76,9 +76,11 @@ def test_group_axioms_exhaustive():
                 assert composed.matrix.eq(a.matrix @ b.matrix)
 
 
-def test_elements_verify_on_scrambled_spaces():
+def test_elements_verify_on_scrambled_spaces(padded_square):
+    # padded_square's vertices do not span, so its maps must fix the rest
     rng = random.Random(8)
-    for space, order in ((ss.cube(3), 48), (min_tensor(ss.gbit(), ss.simplex(1)), 128)):
+    for space, order in ((ss.cube(3), 48), (min_tensor(ss.gbit(), ss.simplex(1)), 128),
+                         (padded_square, 8)):
         moved = transformed(space, unimodular_u_preserving_map(space, rng))
         group = reversible_maps(moved)
         assert group.order == order
@@ -222,12 +224,9 @@ def test_join_preservation_exhaustive(square):
 
 def test_orbit_refines_gram_classes(square):
     # sanity check on the pruning metric: orbits never cross class boundaries
-    from gptlab.dynamics import _VertexGeometry
-
     group = reversible_maps(square)
-    geom = _VertexGeometry(square)
     for orb in orbits(square, group):
-        keys = {geom.classes[i] for i in orb}
+        keys = {square.vertex_classes[i] for i in orb}
         assert len(keys) == 1
 
 

@@ -9,12 +9,18 @@ import math
 
 import pytest
 
-from gptlab.arith import float_context
+from gptlab.arith import Context, float_context
 from gptlab.dynamics import is_transitive, reversible_maps
 from gptlab.interactions import broadcast_f_map, cnot_map, lri_decompose, partial_broadcaster
 from gptlab.geometry import face_lattice, is_face
 from gptlab.lp import in_hull
 from gptlab.statespace import State, extremal_effects, make_space
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+def test_float_context_needs_finite_positive_eps(eps):
+    with pytest.raises(ValueError, match="finite positive epsilon"):
+        Context("float", eps)
 
 
 @pytest.fixture(scope="module")

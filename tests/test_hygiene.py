@@ -1,6 +1,7 @@
 """Source hygiene: every name a library module imports is used in that
-module, every module-level function and class is referenced somewhere, and
-every function reads each of its parameters.
+module, every module-level function and class and every non-dunder method of
+such a class is referenced somewhere, and every function reads each of its
+parameters.
 
 ``__init__.py`` is left out, since its imports are the package's re-exports.
 An imported name counts as used when it is read anywhere in the module, named
@@ -84,13 +85,26 @@ def _referenced() -> set:
     return names
 
 
+def _definitions(tree: ast.Module):
+    """Module-level functions and classes, and the non-dunder methods of those
+    classes (named ``Class.method``), as (name, node) pairs."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, functions) and not (
+                        member.name.startswith("__") and member.name.endswith("__")):
+                    yield f"{node.name}.{member.name}", member
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_definition_is_referenced(path):
     referenced = _referenced()
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    unreferenced = {node.name: node.lineno for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name not in referenced}
+    unreferenced = {name: node.lineno for name, node in _definitions(tree)
+                    if node.name not in referenced}
     assert not unreferenced, f"{path.name}: definitions nothing references (name: line) {unreferenced}"
 
 

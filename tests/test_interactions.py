@@ -562,7 +562,7 @@ def _grid_map(a, b, grid):
 def test_singular_grid_map_is_not_an_lri(bit, bit_groups):
     # every grid slice is a permutation, but two products share an image
     t = _grid_map(bit, bit, {(0, 0): (0, 0), (0, 1): (1, 1), (1, 0): (1, 1), (1, 1): (0, 0)})
-    assert t.det() == 0
+    assert t.inverse() is None
     assert lri_decompose(t, bit, bit, bit_groups) is None
 
 

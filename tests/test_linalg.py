@@ -6,17 +6,8 @@ import pytest
 
 from gptlab import statespace as ss
 from gptlab.arith import float_context
-from gptlab.linalg import (
-    Matrix,
-    complete_basis,
-    dependency_basis,
-    dot,
-    independent_subset,
-    kron,
-    span_projector,
-    span_rank,
-)
-from oracles import hand_rank, leibniz_det, product_sends, unpruned_symmetries
+from gptlab.linalg import Matrix, complete_basis, dot, independent_subset, kron, span_projector
+from oracles import dependency_basis, hand_rank, leibniz_det, product_sends, unpruned_symmetries
 
 
 def test_rank_identity():
@@ -51,6 +42,7 @@ def test_rank_independent_of_elimination_order():
 
 
 def test_det_matches_leibniz_expansion():
+    # inverse() is None exactly when the Leibniz determinant vanishes
     rng = random.Random(11)
     for _ in range(25):
         n = rng.randint(1, 5)
@@ -58,46 +50,20 @@ def test_det_matches_leibniz_expansion():
                 for _ in range(n)]
         if rng.random() < 0.3:  # a repeated row makes some of them singular
             rows[-1] = list(rows[0])
-        assert Matrix.from_rows(rows).det() == leibniz_det(rows)
+        m = Matrix.from_rows(rows)
+        inv = m.inverse()
+        assert (inv is None) == (leibniz_det(rows) == 0)
+        if inv is not None:
+            assert (m @ inv).eq(Matrix.identity(n))
 
 
 def test_float_mode_elimination_agrees_at_small_scale():
-    """Rank, rref, independent_subset, det and inverse see the same matrix:
-    entries of 1e-5 are nonzero at eps 1e-9, even though their product is not."""
+    """Rank, rref, independent_subset and inverse see the same matrix: entries
+    of 1e-5 are nonzero at eps 1e-9, even though their product is not."""
     ctx = float_context(1e-9)
     m = Matrix.from_rows([[1e-5, 0], [0, 1e-5]], ctx)
     assert m.rank() == 2 == len(m.rref()[1]) == len(independent_subset(m.rows, ctx))
-    assert m.det() == pytest.approx(1e-10, rel=1e-12)
     assert m.inverse() is not None
-
-
-def test_solve_and_inverse_roundtrip():
-    rng = random.Random(3)
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        rows = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
-        m = Matrix.from_rows(rows)
-        inv = m.inverse()
-        if inv is None:
-            assert m.det() == 0
-            continue
-        assert (m @ inv).eq(Matrix.identity(n))
-        b = tuple(Fraction(rng.randint(-5, 5)) for _ in range(n))
-        x = m.solve(b)
-        assert m.apply(x) == b
-
-
-def test_solve_inconsistent_returns_none():
-    m = Matrix.from_rows([[1, 1], [1, 1]])
-    assert m.solve((Fraction(0), Fraction(1))) is None
-
-
-def test_nullspace_is_kernel():
-    m = Matrix.from_rows([[1, 2, 3], [2, 4, 6]])
-    basis = m.nullspace()
-    assert len(basis) == 2
-    for v in basis:
-        assert all(x == 0 for x in m.apply(v))
 
 
 def test_dependency_basis_square_vertices():
@@ -116,7 +82,7 @@ def test_span_projector_is_orthogonal_projector(space):
     p = span_projector(space.vertices)
     assert p.transpose().eq(p)
     assert (p @ p).eq(p)
-    assert sum(p.rows[i][i] for i in range(p.nrows)) == span_rank(space.vertices)
+    assert sum(p.rows[i][i] for i in range(p.nrows)) == Matrix.from_rows(space.vertices).rank()
     for c in dependency_basis(space.vertices):
         assert all(x == 0 for x in p.apply(c))
 
@@ -144,7 +110,6 @@ def test_span_projector_block_diagonal_on_direct_sum():
 def test_independent_subset_prefix_greedy():
     vs = [(1, 0), (2, 0), (0, 1), (1, 1)]
     assert independent_subset(vs) == [0, 2]
-    assert span_rank(vs) == 2
 
 
 def test_kron_layout():

@@ -1,12 +1,14 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from gptlab import statespace as ss
 from gptlab.config import BudgetExceededError, Budgets
-from gptlab.linalg import Matrix, dot, kron, span_rank
+from gptlab.linalg import Matrix, dot, kron
+from oracles import unimodular_u_preserving_map
 
 
 def test_make_space_valid_d1():
@@ -47,7 +49,7 @@ def test_make_space_rejects_bad_unit_and_duplicates():
 def test_gbit_builder_is_valid():
     g = ss.gbit()
     assert g.nvertices == 4
-    assert span_rank(g.vertices) == 3
+    assert Matrix.from_rows(g.vertices).rank() == 3
     # builder output survives the fully validating constructor
     again = ss.make_space(g.vertices, g.u, "g2")
     assert again.vertices == g.vertices
@@ -89,10 +91,26 @@ def test_min_tensor_point_identity():
     assert s.vertices == g.vertices
 
 
+@pytest.mark.parametrize("name", ["gbit", "cube3", "padded_square", "scrambled gbit(x)simplex1"])
+def test_span_frame_completes_a_greedy_vertex_basis(name, padded_square):
+    product = ss.min_tensor(ss.gbit(), ss.simplex(1))
+    s = {"gbit": ss.gbit(), "cube3": ss.cube(3), "padded_square": padded_square,
+         "scrambled gbit(x)simplex1": ss.transformed(
+             product, unimodular_u_preserving_map(product, random.Random(3)))}[name]
+    ref, basis, inverse = s.span_frame
+    d = s.ambient_dim
+    assert (basis @ inverse).eq(Matrix.identity(d))
+    assert len(ref) == Matrix.from_rows(s.vertices).rank()
+    assert basis.cols()[:len(ref)] == [s.vertices[i] for i in ref]
+    for col in basis.cols()[len(ref):]:  # padded_square's vertices leave one out
+        assert sorted(col) == [0] * (d - 1) + [1]
+    assert s.span_frame is s.span_frame
+
+
 def test_min_tensor_d1_d1_is_a_tetrahedron():
     s = ss.min_tensor(ss.simplex(1), ss.simplex(1))
     assert s.nvertices == 4
-    assert span_rank(s.vertices) == 4  # four affinely independent vertices
+    assert Matrix.from_rows(s.vertices).rank() == 4  # four affinely independent vertices
 
 
 def test_min_tensor_gbit_gbit_counts():
@@ -227,7 +245,7 @@ def test_extremal_effects_in_range_with_witness():
                   ss.min_tensor(ss.gbit(), ss.simplex(1))):
         effs = ss.extremal_effects(space)
         one, zero = Fraction(1), Fraction(0)
-        r = span_rank(space.vertices)
+        r = Matrix.from_rows(space.vertices).rank()
         for e in effs:
             assert all(zero <= v <= one for v in e.values)
             assert e.values == tuple(dot(e.covector, v) for v in space.vertices)
@@ -236,7 +254,7 @@ def test_extremal_effects_in_range_with_witness():
                 assert any(v in (zero, one) for v in e.values)
             # vertex certificate: the bounds tight at e pin it down
             tight = [v for v, x in zip(space.vertices, e.values) if x in (zero, one)]
-            assert span_rank(tight) == r
+            assert Matrix.from_rows(tight).rank() == r
 
 
 def test_extremal_effects_gbit_simplex1_frozen():
