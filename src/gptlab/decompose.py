@@ -23,7 +23,7 @@ from .dynamics import (
     _vertex_map,
     is_transitive,
 )
-from .linalg import Matrix, complete_basis, dot, veq
+from .linalg import Matrix, dot, veq
 from .statespace import Effect, StateSpace, _assemble, min_tensor, sends_vertices, simplex
 
 
@@ -271,17 +271,15 @@ def component_indicator_effects(space: StateSpace) -> list:
 
 def _block_projectors(decomp: Decomposition) -> list:
     """Projector onto each component's span along the other components' spans
-    and a complement of their sum (which every projector annihilates)."""
-    ctx = decomp.space.ctx
-    d = decomp.space.ambient_dim
-    cols = [col for comp in decomp.components for col in comp.basis.cols()]
-    owners = [k for k, comp in enumerate(decomp.components) for _ in range(comp.dim)]
-    owners += [None] * (d - len(owners))  # the completing unit vectors
-    full = Matrix.from_cols(complete_basis(cols, d, ctx), ctx)
-    inv = full.inverse()
-    zero_row = tuple(ctx.zero() for _ in range(d))
+    and the completing unit vectors of ``span_frame``, read off that frame as
+    a vertex map is: projector k keeps the frame's reference vertices in
+    block k and sends every other frame column to zero."""
+    space = decomp.space
+    ref, basis, inverse = space.span_frame
+    zero = (space.ctx.zero(),) * space.ambient_dim
     projectors = []
     for k in range(decomp.n):
-        rows = tuple(inv.rows[t] if owners[t] == k else zero_row for t in range(d))
-        projectors.append(full @ Matrix(rows, ctx))
+        cols = [space.vertices[i] if decomp.block_of[i] == k else zero for i in ref]
+        cols += [zero] * (basis.ncols - len(ref))
+        projectors.append(Matrix(tuple(zip(*cols)), space.ctx) @ inverse)
     return projectors

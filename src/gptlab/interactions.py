@@ -6,14 +6,17 @@ reversible transformation of its factor; it is trivial when both families
 are constant.  From a witness one constructs partial broadcasters (fix one
 input, undo the local map on the matching output), from broadcasters
 non-disturbing measurements, and from a nontrivial measurement a direct-sum
-decomposition of the state space.
+decomposition of the state space.  ``_slots`` alone knows which output slot
+of a broadcaster holds the source and which the copy.
 
 Every locally reversible T permutes the pure product states, so it lies in
 the reversible group of the minimal tensor product.  The enumerator computes
 that group with the vertex-permutation symmetry search of ``dynamics`` and
 keeps the elements whose grid slices lie in the factor groups.  This exhausts
 all witnesses of a composite at desk scale, which turns the triviality
-theorems into machine-checkable statements.
+theorems into machine-checkable statements.  Maps given on vertices
+(``cnot_map``, component maps) are read off span frames by ``_map_matrix``;
+one vertex-image check certifies a block form (``BlockStructure.verify``).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .decompose import (
     irreducible_components,
 )
 from .dynamics import ReversibleMap, _as_map, _map_matrix, reversible_maps
-from .linalg import Matrix, complete_basis, dot, independent_subset, kron, veq
+from .linalg import Matrix, dot, kron, veq
 from .statespace import Effect, State, StateSpace, min_tensor, sends_vertices
 
 
@@ -76,6 +79,9 @@ class LriWitness:
         a member that fails keeps failing, in every witness that holds it.
         Check (2) depends on T and runs on every call.
         """
+        if len(self.x_family) != self.b_space.nvertices or \
+                len(self.y_family) != self.a_space.nvertices:
+            return False
         for space, family in ((self.a_space, self.x_family), (self.b_space, self.y_family)):
             for g in set(family):
                 if g.space.vertices != space.vertices or not g.realizes_perm:
@@ -223,22 +229,14 @@ def swap_map(a: StateSpace, b: StateSpace) -> Matrix:
 def cnot_map(d1: StateSpace) -> Matrix:
     """The classical controlled-not on bit (x) bit: (x, y) -> (x, x xor y).
 
-    Bit value = vertex index of the two-vertex simplex factor.
+    Bit value = vertex index of the two-vertex factor.  A vertex map of the
+    composite (``_map_matrix``): the identity off the product vertices' span.
     """
     if d1.nvertices != 2:
         raise ValueError("cnot is defined on a two-vertex classical factor")
-    ctx = d1.ctx
-    cols_src = []
-    cols_dst = []
-    for x in range(2):
-        for y in range(2):
-            cols_src.append(kron(d1.vertices[x], d1.vertices[y]))
-            cols_dst.append(kron(d1.vertices[x], d1.vertices[x ^ y]))
-    src = Matrix.from_cols(cols_src, ctx)
-    inv = src.inverse()
-    if inv is None:
-        raise ValueError("factor vertices do not span; cannot build cnot")
-    return Matrix.from_cols(cols_dst, ctx) @ inv
+    c = min_tensor(d1, d1)
+    position = {cell: k for k, cell in enumerate(c.product_index)}
+    return _map_matrix(c, c, [position[x, x ^ y] for x, y in c.product_index])
 
 
 def controlled_map(classical: StateSpace, system: StateSpace,
@@ -253,7 +251,12 @@ def controlled_map(classical: StateSpace, system: StateSpace,
         raise ValueError(
             f"control space has {decomp.n} classical values, got {len(maps)} maps"
         )
-    n = classical.ambient_dim * system.ambient_dim
+    d = system.ambient_dim
+    for k, m in enumerate(maps):
+        if m.shape != (d, d):
+            raise ValueError(f"map {k} is {m.nrows}x{m.ncols}, but the system "
+                             f"{system.label!r} needs {d}x{d}")
+    n = classical.ambient_dim * d
     total = Matrix.zeros(n, n, ctx)
     for proj, m in zip(_block_projectors(decomp), maps):
         total = total + proj.kron(m)
@@ -277,19 +280,36 @@ class PartialBroadcaster:
 
     def verify(self) -> bool:
         """Exact matrix identity (id (x) u_other) o B = id on the source."""
+        ident = Matrix.identity(self.source.ambient_dim, self.source.ctx)
+        return self._read(self.other.u).eq(ident)
+
+    def _read(self, covector) -> Matrix:
+        """(id (x) c) o B with the covector c on the copy slot: a map on the source."""
         ctx = self.source.ctx
-        ds = self.source.ambient_dim
-        discard = _discard_matrix(self.source, self.other, self.fixed_side, ctx)
-        return (discard @ self.matrix).eq(Matrix.identity(ds, ctx))
+        ident = Matrix.identity(self.source.ambient_dim, ctx)
+        row = Matrix((tuple(covector),), ctx)
+        return Matrix.kron(*_slots(self.fixed_side, ident, row)) @ self.matrix
 
 
-def _discard_matrix(source: StateSpace, other: StateSpace, fixed_side: str, ctx) -> Matrix:
-    """(id (x) u) or (u (x) id) depending on which slot holds the copy."""
-    ident = Matrix.identity(source.ambient_dim, ctx)
-    u_row = Matrix((tuple(other.u),), ctx)
-    if fixed_side == "B":          # layout source (x) other
-        return ident.kron(u_row)
-    return u_row.kron(ident)       # layout other (x) source
+def _slots(fixed_side: str, s, o) -> tuple:
+    """(s, o) in composite slot order: the source s takes the free input's slot,
+    first when the second input is fixed (side "B"), second when the first is
+    ("A").  Callers kron the pair, vectors and matrices alike; on a witness's
+    (A, B) pairs it returns (source, other)."""
+    if fixed_side not in ("A", "B"):
+        raise ValueError(f"fixed side must be 'A' or 'B', got {fixed_side!r}")
+    return (s, o) if fixed_side == "B" else (o, s)
+
+
+def _roles(witness: LriWitness, fixed_side: str, index: int) -> tuple:
+    """(source, other, source map undone, copy family indexed by source vertex)
+    of the broadcaster fixing pure state ``index`` of the other system."""
+    source, other = _slots(fixed_side, witness.a_space, witness.b_space)
+    own, copy = _slots(fixed_side, witness.x_family, witness.y_family)
+    if not isinstance(index, int) or not 0 <= index < min(other.nvertices, len(own)):
+        raise ValueError(f"fixed input {index!r} is not a pure state of the "
+                         f"{fixed_side} factor {other.label!r}")
+    return source, other, own[index], copy
 
 
 def partial_broadcaster(witness: LriWitness, b_index: int) -> PartialBroadcaster:
@@ -297,25 +317,7 @@ def partial_broadcaster(witness: LriWitness, b_index: int) -> PartialBroadcaster
 
     On pure states: a -> a (x) Y_a(b).
     """
-    a, b = witness.a_space, witness.b_space
-    ctx = a.ctx
-    if not 0 <= b_index < b.nvertices:
-        raise ValueError("fixed input must be a pure state of the second factor")
-    x_b = witness.x_family[b_index]
-    embed = Matrix.from_cols(
-        [kron(_unit(a.ambient_dim, i, ctx), b.vertices[b_index]) for i in range(a.ambient_dim)],
-        ctx,
-    )
-    ident_b = Matrix.identity(b.ambient_dim, ctx)
-    bmap = x_b.inverse.kron(ident_b) @ witness.matrix @ embed
-    pb = PartialBroadcaster(a, b, witness.composite, bmap, "B", b_index, x_b)
-    expected = [kron(va, b.vertices[y.perm[b_index]])
-                for va, y in zip(a.vertices, witness.y_family)]
-    if not bmap.sends(a.vertices, expected):
-        raise ValueError(f"witness invalid for fixed input {b_index}")
-    if not pb.verify():
-        raise ValueError(f"broadcast equation fails for fixed input {b_index}")
-    return pb
+    return _broadcaster(witness, "B", b_index)
 
 
 def partial_broadcaster_mirrored(witness: LriWitness, a_index: int) -> PartialBroadcaster:
@@ -323,29 +325,27 @@ def partial_broadcaster_mirrored(witness: LriWitness, a_index: int) -> PartialBr
 
     On pure states: b -> X_b(a) (x) b, with the preserved system second.
     """
-    a, b = witness.a_space, witness.b_space
-    ctx = a.ctx
-    if not 0 <= a_index < a.nvertices:
-        raise ValueError("fixed input must be a pure state of the first factor")
-    y_a = witness.y_family[a_index]
-    embed = Matrix.from_cols(
-        [kron(a.vertices[a_index], _unit(b.ambient_dim, j, ctx)) for j in range(b.ambient_dim)],
-        ctx,
-    )
-    ident_a = Matrix.identity(a.ambient_dim, ctx)
-    bmap = ident_a.kron(y_a.inverse) @ witness.matrix @ embed
-    pb = PartialBroadcaster(b, a, witness.composite, bmap, "A", a_index, y_a)
-    expected = [kron(a.vertices[x.perm[a_index]], vb)
-                for vb, x in zip(b.vertices, witness.x_family)]
-    if not bmap.sends(b.vertices, expected):
-        raise ValueError(f"witness invalid for fixed input {a_index}")
+    return _broadcaster(witness, "A", a_index)
+
+
+def _broadcaster(witness: LriWitness, fixed_side: str, index: int) -> PartialBroadcaster:
+    """Embed the source next to the fixed pure state, apply T, undo the
+    source's local map; each step is a kron in ``_slots`` order."""
+    source, other, element, copy = _roles(witness, fixed_side, index)
+    ctx = source.ctx
+    fixed = Matrix(tuple((x,) for x in other.vertices[index]), ctx)
+    embed = Matrix.kron(*_slots(fixed_side, Matrix.identity(source.ambient_dim, ctx), fixed))
+    undo = Matrix.kron(*_slots(fixed_side, element.inverse,
+                               Matrix.identity(other.ambient_dim, ctx)))
+    bmap = undo @ witness.matrix @ embed
+    pb = PartialBroadcaster(source, other, witness.composite, bmap, fixed_side, index, element)
+    expected = [kron(*_slots(fixed_side, s, other.vertices[g.perm[index]]))
+                for s, g in zip(source.vertices, copy)]
+    if not bmap.sends(source.vertices, expected):
+        raise ValueError(f"witness invalid for fixed input {index}")
     if not pb.verify():
-        raise ValueError(f"broadcast equation fails for fixed input {a_index}")
+        raise ValueError(f"broadcast equation fails for fixed input {index}")
     return pb
-
-
-def _unit(n: int, k: int, ctx) -> tuple:
-    return tuple(ctx.one() if t == k else ctx.zero() for t in range(n))
 
 
 # -- the copied-information function f ----------------------------------------
@@ -375,26 +375,19 @@ def broadcast_f_map(pb: PartialBroadcaster) -> FMap:
     broadcasters write an arbitrary fixed normalized state.
     """
     src, other, ctx = pb.source, pb.other, pb.source.ctx
-    ds, do = src.ambient_dim, other.ambient_dim
+    # (u (x) id) or (id (x) u): discard the source slot, keep the copy
+    discard_src = Matrix.kron(*_slots(pb.fixed_side, Matrix((tuple(src.u),), ctx),
+                                      Matrix.identity(other.ambient_dim, ctx)))
     table = []
-    all_pure = True
     for s in src.vertices:
         image = pb.matrix.apply(s)
-        if pb.fixed_side == "B":   # layout s (x) f(s)
-            f = tuple(sum((src.u[i] * image[i * do + j] for i in range(ds)), ctx.zero())
-                      for j in range(do))
-            recon = kron(s, f)
-        else:                       # layout f(s) (x) s
-            f = tuple(sum((src.u[i] * image[j * ds + i] for i in range(ds)), ctx.zero())
-                      for j in range(do))
-            recon = kron(f, s)
-        if not veq(recon, image, ctx):
+        f = discard_src.apply(image)
+        if not veq(kron(*_slots(pb.fixed_side, s, f)), image, ctx):
             raise StructuralFailureError(
                 "broadcaster image is not of the form s (x) f(s) on a pure state"
             )
         table.append(f)
-        if other.vertex_index(f) is None:
-            all_pure = False
+    all_pure = all(other.vertex_index(f) is not None for f in table)
     return FMap(src, other, tuple(table), all_pure)
 
 
@@ -436,15 +429,7 @@ def nondisturbing_measurement(pb: PartialBroadcaster,
     if not all(ctx.eq(s, one) for s in sums):
         raise ValueError("incomplete effect list: effects must sum to u on the copy system")
     f_map = broadcast_f_map(pb)
-    ident = Matrix.identity(src.ambient_dim, ctx)
-    members = []
-    for e in effects:
-        e_row = Matrix((tuple(e.covector),), ctx)
-        if pb.fixed_side == "B":
-            pick = ident.kron(e_row)
-        else:
-            pick = e_row.kron(ident)
-        members.append((e, pick @ pb.matrix))
+    members = [(e, pb._read(e.covector)) for e in effects]
     family = MeasurementFamily(src, tuple(members), pb, f_map)
     if not family.verify():
         raise RuntimeError("measurement family failed its defining identities")
@@ -521,7 +506,11 @@ def verify_theorem2(a: StateSpace, b: StateSpace, groups: tuple,
 
 @dataclass(frozen=True)
 class BlockStructure:
-    """How a reversible interaction acts on the classical block grid."""
+    """How a reversible interaction acts on the classical block grid.
+
+    ``verify`` is the certificate: T agrees with the blockwise product maps
+    on every pure product state, hence on their whole span.
+    """
 
     composite: StateSpace
     a_space: StateSpace
@@ -537,23 +526,15 @@ class BlockStructure:
     def block_permutation(self) -> dict:
         return {src: dst for src, (dst, _, _) in self.blocks.items()}
 
-    def reassemble(self) -> Matrix:
-        """Rebuild the interaction from the per-block product maps."""
-        ctx = self.composite.ctx
-        a, b, da, db = self.a_space, self.b_space, self.decomp_a, self.decomp_b
-        cols_src = []
-        cols_dst = []
-        for i in range(a.nvertices):
-            for j in range(b.nvertices):
-                (ai, bj), x_mat, y_mat = self.blocks[da.block_of[i], db.block_of[j]]
-                cols_src.append(kron(a.vertices[i], b.vertices[j]))
-                cols_dst.append(kron(_block_image(da, i, ai, x_mat),
-                                     _block_image(db, j, bj, y_mat)))
-        pos = independent_subset(cols_src, ctx)
-        basis = complete_basis([cols_src[k] for k in pos], self.composite.ambient_dim, ctx)
-        # off the span of the product vertices the interaction is copied as is
-        chosen_dst = [cols_dst[k] for k in pos] + [self.matrix.apply(e) for e in basis[len(pos):]]
-        return Matrix.from_cols(chosen_dst, ctx) @ Matrix.from_cols(basis, ctx).inverse()
+    def verify(self) -> bool:
+        """T sends each product vertex a_i (x) b_j to X(a_i) (x) Y(b_j), where
+        X, Y are the maps of the block holding (i, j): one ``Matrix.sends``."""
+        da, db = self.decomp_a, self.decomp_b
+        images = []
+        for i, j in self.composite.product_index:
+            (ai, bj), x_mat, y_mat = self.blocks[da.block_of[i], db.block_of[j]]
+            images.append(kron(_block_image(da, i, ai, x_mat), _block_image(db, j, bj, y_mat)))
+        return self.matrix.sends(self.composite.vertices, images)
 
 
 def _block_image(decomp: Decomposition, vertex: int, dst: int, mat: Matrix) -> tuple:
@@ -568,7 +549,8 @@ def conditional_structure(t: Matrix, a: StateSpace, b: StateSpace) -> Optional[B
     Decomposes both factors into irreducible components; the interaction
     must send each block A_i (x) B_j onto a single block as X (x) Y with X, Y
     local reversible maps, possibly permuting the block grid.  Returns None
-    when any block image splits or fails to factor.
+    when any block image splits or fails to factor, or when the result fails
+    ``BlockStructure.verify``.
     """
     composite = min_tensor(a, b)
     g = _as_map(composite, t)
@@ -588,17 +570,14 @@ def conditional_structure(t: Matrix, a: StateSpace, b: StateSpace) -> Optional[B
     for (i, j), (ii, jj) in images.items():
         src = (block_a[i], block_b[j])
         dst = (block_a[ii], block_b[jj])
-        if src in pairs_by_block and pairs_by_block[src] != dst:
+        if pairs_by_block.setdefault(src, dst) != dst:
             return None  # block image is not a single block
-        pairs_by_block[src] = dst
 
     for src, dst in pairs_by_block.items():
-        comp_ai = decomp_a.components[src[0]]
-        comp_bj = decomp_b.components[src[1]]
         x_vertex_map = {}
         y_vertex_map = {}
-        for i in comp_ai.indices:
-            for j in comp_bj.indices:
+        for i in decomp_a.components[src[0]].indices:
+            for j in decomp_b.components[src[1]].indices:
                 ii, jj = images[(i, j)]
                 if x_vertex_map.setdefault(i, ii) != ii:
                     return None  # first output depends on the second input
@@ -614,9 +593,7 @@ def conditional_structure(t: Matrix, a: StateSpace, b: StateSpace) -> Optional[B
     if len(set(dsts)) != len(dsts):
         raise RuntimeError("reversible map produced a non-bijective block permutation")
     structure = BlockStructure(composite, a, b, decomp_a, decomp_b, t, blocks)
-    if not structure.reassemble().eq(t):
-        return None
-    return structure
+    return structure if structure.verify() else None
 
 
 def _component_map(decomp: Decomposition, src_idx: int, dst_idx: int,

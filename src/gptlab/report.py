@@ -136,19 +136,16 @@ def witness_from_json(a: StateSpace, b: StateSpace, groups: tuple, data: dict):
 
 def broadcaster_from_json(witness, data: dict):
     """Rebuild a partial broadcaster from report JSON; it comes back
-    unverified, and the caller runs ``.verify()``."""
-    from .interactions import PartialBroadcaster
+    unverified, and the caller runs ``.verify()``.
 
-    ctx = witness.a_space.ctx
-    matrix = mat_from_json(data["matrix"], ctx)
-    fixed_side = data["fixed_side"]
-    fixed_index = data["fixed_index"]
-    if fixed_side == "B":
-        source, other = witness.a_space, witness.b_space
-        element = witness.x_family[fixed_index]
-    else:
-        source, other = witness.b_space, witness.a_space
-        element = witness.y_family[fixed_index]
+    Raises ValueError on a ``fixed_side`` other than "A" or "B" and on a
+    ``fixed_index`` that is not a vertex of the fixed factor.
+    """
+    from .interactions import PartialBroadcaster, _roles
+
+    matrix = mat_from_json(data["matrix"], witness.a_space.ctx)
+    fixed_side, fixed_index = data["fixed_side"], data["fixed_index"]
+    source, other, element, _ = _roles(witness, fixed_side, fixed_index)
     return PartialBroadcaster(source, other, witness.composite, matrix,
                               fixed_side, fixed_index, element)
 

@@ -6,7 +6,10 @@ supporting functionals, symmetry groups by unpruned permutation search, and
 decompositions by exhaustive set-partition search.  They only run at tiny
 sizes.  ``fraction_phase1`` is the phase-1 simplex as it ran on a Fraction
 tableau, before ``lp`` pivoted in integers; it pins the certificates, pivot
-for pivot.
+for pivot.  ``block_projectors`` and ``reassemble`` are the direct-sum
+projectors and the conditional-structure check as they ran before both
+read the span frame and vertex images: each completes its own basis and
+inverts it.
 """
 
 from __future__ import annotations
@@ -421,3 +424,47 @@ def fraction_phase1(a_rows: Sequence[Vector], b: Vector, nvars: int,
         yprime.append(s)
     y = tuple(-yi if fl else yi for yi, fl in zip(yprime, flip))
     return LpResult(feasible=False, farkas=y)
+
+
+def block_projectors(decomp):
+    """Projector onto each component's span along the other components' spans
+    and a complement of their sum (which every projector annihilates)."""
+    from gptlab.linalg import complete_basis
+
+    ctx = decomp.space.ctx
+    d = decomp.space.ambient_dim
+    cols = [col for comp in decomp.components for col in comp.basis.cols()]
+    owners = [k for k, comp in enumerate(decomp.components) for _ in range(comp.dim)]
+    owners += [None] * (d - len(owners))  # the completing unit vectors
+    full = Matrix.from_cols(complete_basis(cols, d, ctx), ctx)
+    inv = full.inverse()
+    zero_row = tuple(ctx.zero() for _ in range(d))
+    projectors = []
+    for k in range(decomp.n):
+        rows = tuple(inv.rows[t] if owners[t] == k else zero_row for t in range(d))
+        projectors.append(full @ Matrix(rows, ctx))
+    return projectors
+
+
+def reassemble(structure):
+    """Rebuild the interaction from the per-block product maps of a
+    ``BlockStructure``; it equals T exactly when T agrees with them on a
+    basis of the product vertices."""
+    from gptlab.interactions import _block_image
+    from gptlab.linalg import complete_basis, independent_subset, kron
+
+    ctx = structure.composite.ctx
+    a, b, da, db = structure.a_space, structure.b_space, structure.decomp_a, structure.decomp_b
+    cols_src = []
+    cols_dst = []
+    for i in range(a.nvertices):
+        for j in range(b.nvertices):
+            (ai, bj), x_mat, y_mat = structure.blocks[da.block_of[i], db.block_of[j]]
+            cols_src.append(kron(a.vertices[i], b.vertices[j]))
+            cols_dst.append(kron(_block_image(da, i, ai, x_mat),
+                                 _block_image(db, j, bj, y_mat)))
+    pos = independent_subset(cols_src, ctx)
+    basis = complete_basis([cols_src[k] for k in pos], structure.composite.ambient_dim, ctx)
+    # off the span of the product vertices the interaction is copied as is
+    chosen_dst = [cols_dst[k] for k in pos] + [structure.matrix.apply(e) for e in basis[len(pos):]]
+    return Matrix.from_cols(chosen_dst, ctx) @ Matrix.from_cols(basis, ctx).inverse()

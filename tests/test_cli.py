@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,19 @@ def d1_json(tmp_path):
     path = tmp_path / "d1.json"
     path.write_text(json.dumps(space_to_json(ss.simplex(1))))
     return path
+
+
+def test_golden_report_is_byte_identical(capsys):
+    """tests/data/golden.gpt runs every check kind; its ``--json`` report with
+    each ``millis`` zeroed must equal the stored golden.json byte for byte."""
+    from gptlab import cli
+    from gptlab.scenario import CHECK_KINDS
+
+    data = Path(__file__).parent / "data"
+    assert cli.main(["--json", "run", str(data / "golden.gpt")]) == 0
+    out = re.sub(r'("millis": )[-0-9.eE+]+', r"\g<1>0", capsys.readouterr().out)
+    assert {c["kind"] for c in json.loads(out)["checks"]} == set(CHECK_KINDS)
+    assert out == (data / "golden.json").read_text(encoding="utf-8")
 
 
 def test_run_demo_json_exit_zero():
@@ -190,23 +205,26 @@ def test_lri_subcommand_rejects_singular_map(tmp_path, d1_json):
     assert "no witness" in proc.stdout
 
 
-@pytest.mark.parametrize("text, loc", [
-    ("space G = gbit()\nspace B = cube(0)\n", "2:1"),
+@pytest.mark.parametrize("text, loc, message", [
+    ("space G = gbit()\nspace B = cube(0)\n", "2:1", "cube(n) needs n >= 1"),
     ("space D = simplex(1)\nspace G = gbit()\nmap I = identity(G)\n"
-     "map C = ctrl(D, G, I, I, I)\n", "4:1"),
-    ("space G = gbit(3)\n", "1:11"),
-    ("space G = simplex(1, 2)\n", "1:11"),
-    ("space G = point(1)\n", "1:11"),
-    ("space G = cube()\n", "1:11"),
-    ("space G = gbit()\ncheck theorem1 G expect maybe\n", "2:25"),
-], ids=["builder-argument", "ctrl-map-count", "gbit-3", "simplex-1-2", "point-1",
-        "cube-empty", "expect-maybe"])
-def test_run_evaluation_error_has_location(tmp_path, text, loc):
+     "map C = ctrl(D, G, I, I, I)\n", "4:1", "2 classical values, got 3 maps"),
+    ("space X = point()\nspace D = dsum(X, X)\nspace Q = gbit()\nmap I = identity(X)\n"
+     "map T = ctrl(D, Q, I, I)\n", "5:1", "map 0 is 1x1, but the system 'Q' needs 3x3"),
+    ("space G = gbit(3)\n", "1:11", "gbit takes 0 argument(s), found 1"),
+    ("space G = simplex(1, 2)\n", "1:11", "simplex takes 1 argument(s), found 2"),
+    ("space G = point(1)\n", "1:11", "point takes 0 argument(s), found 1"),
+    ("space G = cube()\n", "1:11", "cube takes 1 argument(s), found 0"),
+    ("space G = gbit()\ncheck theorem1 G expect maybe\n", "2:25", "unknown outcome 'maybe'"),
+], ids=["builder-argument", "ctrl-map-count", "ctrl-map-shape", "gbit-3", "simplex-1-2",
+        "point-1", "cube-empty", "expect-maybe"])
+def test_run_evaluation_error_has_location(tmp_path, text, loc, message):
     bad = tmp_path / "bad.gpt"
     bad.write_text(text)
     proc = run_cli("run", str(bad))
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: {loc}: ")
+    assert message in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -17,7 +17,12 @@ from gptlab.decompose import (
 from gptlab.dynamics import reversible_maps
 from gptlab.linalg import Matrix, dot
 from gptlab.statespace import direct_sum, min_tensor, transformed
-from oracles import finest_valid_partition, random_u_preserving_map, unimodular_u_preserving_map
+from oracles import (
+    block_projectors,
+    finest_valid_partition,
+    random_u_preserving_map,
+    unimodular_u_preserving_map,
+)
 
 
 def test_simplex_decomposes_into_points():
@@ -240,3 +245,19 @@ def test_block_projectors_resolve_the_identity(space):
             assert p.apply(space.vertices[i]) == space.vertices[i]
         total = total + p
     assert total.eq(Matrix.identity(d))
+
+
+def test_block_projectors_match_the_basis_completion_oracle(padded_square):
+    """The frame-read projectors equal the old ones, which completed and
+    inverted the components' own bases, on plain, scrambled and non-spanning
+    spaces alike."""
+    pt, d1, g = ss.point(), ss.simplex(1), ss.gbit()
+    plain = [ss.simplex(2), direct_sum(g, pt), direct_sum(d1, g), direct_sum(padded_square, d1),
+             direct_sum(pt, pt), min_tensor(d1, g), min_tensor(direct_sum(pt, pt), g),
+             direct_sum(padded_square, direct_sum(pt, d1))]
+    rng = random.Random(14)
+    scrambled = [transformed(s, unimodular_u_preserving_map(s, rng)) for s in plain]
+    for space in plain + scrambled:
+        decomp = irreducible_components(space)
+        assert [p.rows for p in _block_projectors(decomp)] == \
+            [p.rows for p in block_projectors(decomp)]

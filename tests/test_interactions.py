@@ -31,9 +31,9 @@ from gptlab.interactions import (
     verify_theorem2,
 )
 from gptlab.linalg import Matrix, kron
-from gptlab.report import witness_from_json
+from gptlab.report import broadcaster_from_json, mat_to_json, witness_from_json
 from gptlab.runner import _witness_json
-from oracles import brute_force_lris, kron_lri_identity, unimodular_u_preserving_map
+from oracles import brute_force_lris, kron_lri_identity, reassemble, unimodular_u_preserving_map
 
 
 @pytest.fixture(scope="module")
@@ -223,8 +223,24 @@ def test_cached_member_check_still_rejects_a_forged_member():
 def test_witness_json_with_an_edited_perm_fails_verify(bit, bit_groups):
     data = json.loads(json.dumps(_witness_json(lri_decompose(cnot_map(bit), bit, bit, bit_groups))))
     assert witness_from_json(bit, bit, bit_groups, data).verify()
-    data["x_perms"][0] = data["x_perms"][0][::-1]
-    assert not witness_from_json(bit, bit, bit_groups, data).verify()
+    x_perms = data["x_perms"]
+    # one perm reversed, one entry too few, one entry too many
+    for edited in ([x_perms[0][::-1]] + x_perms[1:], x_perms[:-1], x_perms + x_perms[:1]):
+        assert not witness_from_json(bit, bit, bit_groups, dict(data, x_perms=edited)).verify()
+    short = witness_from_json(bit, bit, bit_groups, dict(data, x_perms=x_perms[:-1]))
+    with pytest.raises(ValueError):  # no family member for the fixed input
+        broadcaster_from_json(short, {"matrix": data["matrix"], "fixed_side": "B", "fixed_index": 1})
+
+
+@pytest.mark.parametrize("side, index", [("C", 0), ("B", 2), ("A", -1), ("B", "0")],
+                         ids=["side-C", "index-2", "index-minus-1", "index-string"])
+def test_broadcaster_json_rejects_a_malformed_side_or_index(bit, bit_groups, side, index):
+    w = lri_decompose(cnot_map(bit), bit, bit, bit_groups)
+    data = {"matrix": mat_to_json(partial_broadcaster(w, 0).matrix),
+            "fixed_side": "B", "fixed_index": 0}
+    assert broadcaster_from_json(w, data).verify()
+    with pytest.raises(ValueError):
+        broadcaster_from_json(w, dict(data, fixed_side=side, fixed_index=index))
 
 
 def test_cnot_broadcaster_is_classical_copier(bit, bit_groups):
@@ -394,7 +410,7 @@ def test_conditional_structure_cnot(bit):
     perm = structure.block_permutation
     # blocks are (control value, target value); cnot sends (i, j) -> (i, i xor j)
     assert perm == {(i, j): (i, i ^ j) for i in range(2) for j in range(2)}
-    assert structure.reassemble().eq(t)
+    assert structure.verify()
 
 
 def test_conditional_structure_product_map(square_space, square_groups):
@@ -405,7 +421,7 @@ def test_conditional_structure_product_map(square_space, square_groups):
     assert structure is not None
     assert list(structure.blocks) == [(0, 0)]
     assert structure.block_permutation == {(0, 0): (0, 0)}
-    assert structure.reassemble().eq(t)
+    assert structure.verify()
 
 
 def test_conditional_structure_controlled_rotation(square_space):
@@ -418,7 +434,55 @@ def test_conditional_structure_controlled_rotation(square_space):
     # blocks preserved, per-block Y = rotation^i
     for (i, j), (dst, x_mat, y_mat) in structure.blocks.items():
         assert dst == (i, j)
-    assert structure.reassemble().eq(t)
+    assert structure.verify()
+
+
+def test_cnot_on_a_segment_that_does_not_span(bit):
+    # the factor's ambient is 3-dimensional, so the composite's vertices span
+    # 4 of its 9 dimensions; the map is the identity on the rest
+    seg = ss.make_space([[1, 0, 0], [0, 1, 0]], [1, 1, 0])
+    t = cnot_map(seg)
+    assert t.shape == (9, 9)
+    assert dynamics._as_map(ss.min_tensor(seg, seg), t) is not None  # reversible
+    structure = conditional_structure(t, seg, seg)
+    assert structure is not None and structure.verify()
+    assert structure.block_permutation == {(i, j): (i, i ^ j) for i in range(2) for j in range(2)}
+    assert conditional_structure(cnot_map(bit), bit, bit).block_permutation == \
+        structure.block_permutation
+
+
+@pytest.mark.parametrize("a, b", [
+    (ss.direct_sum(ss.gbit(), ss.point()), ss.simplex(1)),
+    (ss.direct_sum(ss.point(), ss.point()), ss.gbit()),
+], ids=["gbit+point,simplex1", "point+point,gbit"])
+def test_block_structure_verify_agrees_with_the_reassembly_oracle(a, b):
+    """On every composite symmetry with a block form, verify() and the old
+    basis reassembly both accept; with one block's local map composed with
+    another element of its component's group, both reject."""
+    # decompositions are canonical, so component k is the same space each time
+    groups = [[reversible_maps(c.space) for c in irreducible_components(s).components]
+              for s in (a, b)]
+    found = tampered = 0
+    for g in reversible_maps(ss.min_tensor(a, b)).elements:
+        t = g.matrix
+        structure = conditional_structure(t, a, b)
+        if structure is None:
+            continue
+        found += 1
+        assert structure.verify() and reassemble(structure).eq(t)
+        for src, (dst, x_mat, y_mat) in sorted(structure.blocks.items()):
+            gx, gy = groups[0][src[0]], groups[1][src[1]]
+            if gx.order > 1:
+                swapped = (dst, x_mat @ gx.elements[-1].matrix, y_mat)
+            elif gy.order > 1:
+                swapped = (dst, x_mat, y_mat @ gy.elements[-1].matrix)
+            else:
+                continue
+            bad = replace(structure, blocks={**structure.blocks, src: swapped})
+            assert not bad.verify() and not reassemble(bad).eq(t)
+            tampered += 1
+            break
+    assert found > 0 and tampered == found
 
 
 def test_conditional_structure_swap_returns_none(square_space):
