@@ -15,13 +15,11 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-from . import decompose as dec
 from . import dynamics as dyn
-from . import interactions as ia
 from . import scenario as sc
 from . import statespace as ss
 from .config import BudgetExceededError, DEFAULT_BUDGETS
-from .runner import RunConfig, execute
+from .runner import RunConfig, execute, run_kind
 from .report import mat_from_json, mat_to_json, validate_report
 
 
@@ -114,19 +112,14 @@ def _cmd_run(args, config: RunConfig) -> int:
 
 def _cmd_decompose(args, config: RunConfig) -> int:
     space = _load_space(args.space, config)
-    decomp = dec.irreducible_components(space)
+    _, _, cert = run_kind("decompose", config, space)
     if args.json:
-        print(json.dumps({
-            "label": space.label,
-            "count": decomp.n,
-            "blocks": decomp.blocks(),
-            "dims": [c.dim for c in decomp.components],
-        }, indent=2))
+        print(json.dumps({"label": space.label, **cert}, indent=2))
     else:
-        word = "irreducible" if decomp.n == 1 else f"{decomp.n} components"
+        word = "irreducible" if cert["count"] == 1 else f"{cert['count']} components"
         print(f"{space.label}: {word}")
-        for k, comp in enumerate(decomp.components):
-            print(f"  component {k}: vertices {list(comp.indices)}, dim {comp.dim}")
+        for k, (block, dim) in enumerate(zip(cert["blocks"], cert["dims"])):
+            print(f"  component {k}: vertices {block}, dim {dim}")
     return 0
 
 
@@ -151,52 +144,43 @@ def _cmd_group(args, config: RunConfig) -> int:
 
 def _cmd_transitive(args, config: RunConfig) -> int:
     space = _load_space(args.space, config)
-    group = dyn.reversible_maps(space, config.budgets)
-    verdict = dyn.is_transitive(space, group)
+    _, _, cert = run_kind("transitive", config, space)
     if args.json:
-        print(json.dumps({"label": space.label, "transitive": verdict,
-                          "orbits": dyn.orbits(space, group)}))
+        print(json.dumps({"label": space.label, **cert}))
     else:
-        print(f"{space.label}: {'transitive' if verdict else 'not transitive'}")
-    return 0 if verdict else 1
+        print(f"{space.label}: {'transitive' if cert['transitive'] else 'not transitive'}")
+    return 0 if cert["transitive"] else 1
 
 
 def _cmd_lri(args, config: RunConfig) -> int:
     a = _load_space(args.space_a, config)
     b = _load_space(args.space_b, config)
     matrix = _load_map(args.map, config)
-    groups = (dyn.reversible_maps(a, config.budgets), dyn.reversible_maps(b, config.budgets))
-    witness = ia.lri_decompose(matrix, a, b, groups)
+    outcome, _, cert = run_kind("lri", config, matrix, a, b)
+    witness = cert["witness"]
     if witness is None:
         print("no witness: the map is not a locally reversible interaction")
         return 1
-    trivial = witness.is_trivial()
     if args.json:
-        print(json.dumps({
-            "trivial": trivial,
-            "x_perms": [list(x.perm) for x in witness.x_family],
-            "y_perms": [list(y.perm) for y in witness.y_family],
-        }))
+        print(json.dumps({"trivial": outcome == "trivial", "x_perms": witness["x_perms"],
+                          "y_perms": witness["y_perms"]}))
     else:
-        kind = "trivial" if trivial else "nontrivial"
-        print(f"locally reversible interaction ({kind})")
+        print(f"locally reversible interaction ({outcome})")
     return 0
 
 
 def _cmd_verify(args, config: RunConfig) -> int:
     a = _load_space(args.space_a, config)
     b = _load_space(args.space_b, config)
-    groups = (dyn.reversible_maps(a, config.budgets), dyn.reversible_maps(b, config.budgets))
-    report = ia.verify_theorem2(a, b, groups, config.budgets)
+    verdict, _, cert = run_kind("theorem2", config, a, b)
     if args.json:
-        print(json.dumps({"verdict": report.verdict, "total": report.total,
-                          "trivial": report.trivial, "detail": report.detail}))
+        print(json.dumps({"verdict": verdict, "total": cert["total"],
+                          "trivial": cert["trivial"], "detail": cert["detail"]}))
     else:
-        print(f"{a.label} (x) {b.label}: {report.verdict} "
-              f"({report.trivial}/{report.total} trivial)")
-    if report.verdict == "budget_exceeded":
+        print(f"{a.label} (x) {b.label}: {verdict} ({cert['trivial']}/{cert['total']} trivial)")
+    if verdict == "budget_exceeded":
         return 2
-    return 0 if report.verdict in ("pass", "inapplicable") else 1
+    return 0 if verdict in ("pass", "inapplicable") else 1
 
 
 def main(argv=None) -> int:

@@ -112,7 +112,13 @@ def mat_from_json(data, ctx: Context = EXACT) -> Matrix:
     return Matrix(tuple(vec_from_json(row, ctx) for row in data), ctx)
 
 
-# -- certificate re-loading ------------------------------------------------------
+# -- certificates that can be loaded back ----------------------------------------
+
+
+def witness_to_json(witness) -> dict:
+    return {"matrix": mat_to_json(witness.matrix),
+            "x_perms": [list(x.perm) for x in witness.x_family],
+            "y_perms": [list(y.perm) for y in witness.y_family]}
 
 
 def witness_from_json(a: StateSpace, b: StateSpace, groups: tuple, data: dict):
@@ -134,6 +140,11 @@ def witness_from_json(a: StateSpace, b: StateSpace, groups: tuple, data: dict):
     return LriWitness(a, b, min_tensor(a, b), matrix, x_family, y_family)
 
 
+def broadcaster_to_json(pb) -> dict:
+    return {"matrix": mat_to_json(pb.matrix), "fixed_side": pb.fixed_side,
+            "fixed_index": pb.fixed_index}
+
+
 def broadcaster_from_json(witness, data: dict):
     """Rebuild a partial broadcaster from report JSON; it comes back
     unverified, and the caller runs ``.verify()``.
@@ -148,6 +159,10 @@ def broadcaster_from_json(witness, data: dict):
     source, other, element, _ = _roles(witness, fixed_side, fixed_index)
     return PartialBroadcaster(source, other, witness.composite, matrix,
                               fixed_side, fixed_index, element)
+
+
+def isomorphism_to_json(iso) -> dict:
+    return {"matrix": mat_to_json(iso.matrix), "vertex_map": list(iso.vertex_map)}
 
 
 def isomorphism_from_json(source: StateSpace, target: StateSpace, data: dict):

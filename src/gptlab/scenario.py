@@ -24,23 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .checks import CHECKS
+
 BUILDER_ARITY = {"simplex": 1, "point": 0, "gbit": 0, "cube": 1, "cross": 1}
 BUILDER_NAMES = tuple(BUILDER_ARITY)
-# Outcome words an ``expect`` clause may name per check kind, besides
-# "budget_exceeded"; a group check expects its order, an integer.
-CHECK_OUTCOMES = {
-    "decompose": ("decomposable", "irreducible"),
-    "transitive": ("true", "false"),
-    "group": (),
-    "lri": ("none", "trivial", "nontrivial"),
-    "broadcaster": ("none", "trivial", "nontrivial"),
-    "theorem1": ("pass", "inapplicable"),
-    "theorem2": ("pass", "fail", "inapplicable"),
-    "theorem3": ("conditional", "none"),
-    "distributivity": ("true", "false"),
-    "entangled": ("true", "false"),
-}
-CHECK_KINDS = tuple(CHECK_OUTCOMES)
 NAMED_MAPS = ("identity", "swap", "cnot", "product", "ctrl")
 
 
@@ -106,7 +93,7 @@ class MapDef:
 @dataclass(frozen=True)
 class CheckStmt:
     kind: str
-    ids: tuple                      # identifier operands, kind-specific order
+    ids: tuple                      # identifier operands, in the kind's slot order
     loc: Loc
     state: Optional[object] = None  # "prbox" or a coordinate tuple (entangled)
     b_index: Optional[int] = None   # broadcaster fixed input
@@ -256,6 +243,8 @@ def parse(text: str) -> ScenarioAst:
 
 
 def _declare(name_tok: _Token, spaces: dict, maps: dict):
+    if name_tok.text == "expect":
+        raise ParseError("'expect' is a keyword, not a name", name_tok.line, name_tok.col)
     if name_tok.text in spaces or name_tok.text in maps:
         raise ParseError(f"duplicate definition of {name_tok.text!r}",
                          name_tok.line, name_tok.col)
@@ -355,57 +344,49 @@ def _parse_map(p: _LineParser, loc: Loc, spaces: dict, maps: dict) -> MapDef:
 def _parse_check(p: _LineParser, loc: Loc, spaces: dict, maps: dict) -> CheckStmt:
     kind_tok = p.take_id()
     kind = kind_tok.text
-    if kind not in CHECK_KINDS:
+    if kind not in CHECKS:
         raise ParseError(f"unknown check kind {kind!r}", kind_tok.line, kind_tok.col,
-                         expected=CHECK_KINDS)
-    ids: tuple = ()
+                         expected=tuple(CHECKS))
+    ids = []
     state = None
     b_index = None
-    if kind in ("decompose", "transitive", "group", "theorem1"):
-        ids = (_resolve(p, spaces, "space"),)
-    elif kind == "theorem2":
-        first = _resolve(p, spaces, "space")
-        if p.peek_is("id") and p.cur.text not in ("expect",):
-            ids = (first, _resolve(p, spaces, "space"))
-        else:
-            ids = (first,)
-    elif kind == "distributivity":
-        ids = (_resolve(p, spaces, "space"), _resolve(p, spaces, "space"),
-               _resolve(p, spaces, "space"))
-    elif kind in ("lri", "theorem3", "broadcaster"):
-        map_name = _resolve(p, maps, "map")
-        p.take("id", "on")
-        space_name = _resolve(p, spaces, "space")
-        ids = (map_name, space_name)
-        if kind == "broadcaster" and p.peek_is("id", "b"):
-            p.take_id()
-            p.take("sym", "=")
-            b_index = p.take_int()
-    elif kind == "entangled":
-        if p.peek_is("id", "prbox"):
-            p.take_id()
-            state = "prbox"
-        else:
-            state = p.vector()
-        p.take("id", "on")
-        ids = (_resolve(p, spaces, "space"),)
+    for slot in CHECKS[kind].slots:
+        if slot == "map":
+            ids.append(_resolve(p, maps, "map"))
+        elif slot == "on":
+            p.take("id", "on")
+        elif slot == "state":
+            state = p.take_id().text if p.peek_is("id", "prbox") else p.vector()
+        elif slot == "b=K":
+            if p.peek_is("id", "b"):
+                p.take_id()
+                p.take("sym", "=")
+                b_index = p.take_int()
+        else:  # space, product, or a pair: one space name or two
+            ids.append(_resolve(p, spaces, "space"))
+            if slot == "pair" and p.peek_is("id") and p.cur.text != "expect":
+                ids.append(_resolve(p, spaces, "space"))
     expect = None
     if p.peek_is("id", "expect"):
         p.take_id()
         expect = _parse_outcome(p, kind)
-    return CheckStmt(kind, ids, loc, state=state, b_index=b_index, expect=expect)
+    return CheckStmt(kind, tuple(ids), loc, state=state, b_index=b_index, expect=expect)
 
 
 def _parse_outcome(p: _LineParser, kind: str) -> str:
-    """The word after ``expect``, checked against the kind's outcomes."""
+    """The word after ``expect``, checked against the kind's outcomes; an
+    integer outcome is kept in canonical form, so ``08`` reads as ``8``."""
     tok = p.cur
-    if tok.text in CHECK_OUTCOMES[kind] + ("budget_exceeded",) or (
-            kind == "group" and tok.kind == "rat" and "/" not in tok.text):
+    words = CHECKS[kind].outcomes
+    if tok.text in words + ("budget_exceeded",):
         p.pos += 1
         return tok.text
-    words = CHECK_OUTCOMES[kind] or ("an integer",)
+    if not words and tok.kind == "rat" and "/" not in tok.text and int(tok.text) > 0:
+        p.pos += 1
+        return str(int(tok.text))
     p.error(f"unknown outcome {tok.text!r} for check {kind}" if tok.text
-            else "expected an outcome word", expected=words + ("budget_exceeded",))
+            else "expected an outcome word",
+            expected=(words or ("a positive integer",)) + ("budget_exceeded",))
 
 
 # -- printer -------------------------------------------------------------------
@@ -443,18 +424,17 @@ def print_ast(ast: ScenarioAst) -> str:
             lines.append(f"map {stmt.name} = {body}")
         else:
             parts = ["check", stmt.kind]
-            if stmt.kind in ("lri", "theorem3", "broadcaster"):
-                parts.append(stmt.ids[0])
-                parts.append("on")
-                parts.append(stmt.ids[1])
-                if stmt.b_index is not None:
-                    parts.append(f"b={stmt.b_index}")
-            elif stmt.kind == "entangled":
-                parts.append("prbox" if stmt.state == "prbox" else _fmt_vec(stmt.state))
-                parts.append("on")
-                parts.append(stmt.ids[0])
-            else:
-                parts.extend(stmt.ids)
+            ids = iter(stmt.ids)
+            for slot in CHECKS[stmt.kind].slots:
+                if slot == "on":
+                    parts.append("on")
+                elif slot == "state":
+                    parts.append("prbox" if stmt.state == "prbox" else _fmt_vec(stmt.state))
+                elif slot == "b=K":
+                    if stmt.b_index is not None:
+                        parts.append(f"b={stmt.b_index}")
+                else:  # a pair prints the names it was given, one or two
+                    parts.extend(ids if slot == "pair" else [next(ids)])
             if stmt.expect is not None:
                 parts.append("expect")
                 parts.append(stmt.expect)

@@ -1,0 +1,19 @@
+"""The benchmark's set-up must succeed: ``benchmark/run.py --setup-only``
+imports the library from ``src/``, generates the first cycle and runs the
+checked warm-up ops of its workload, and exits 1 if any of them fails."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+RUN = Path(__file__).resolve().parent.parent / "benchmark" / "run.py"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", ["lri-exhaust", "polytope-faces", "scenario-cli"])
+def test_benchmark_setup_exits_zero(workload, seed):
+    proc = subprocess.run([sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
+                           "--setup-only"], capture_output=True, text=True, timeout=150)
+    assert proc.returncode == 0, proc.stderr

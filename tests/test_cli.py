@@ -37,12 +37,12 @@ def test_golden_report_is_byte_identical(capsys):
     """tests/data/golden.gpt runs every check kind; its ``--json`` report with
     each ``millis`` zeroed must equal the stored golden.json byte for byte."""
     from gptlab import cli
-    from gptlab.scenario import CHECK_KINDS
+    from gptlab.checks import CHECKS
 
     data = Path(__file__).parent / "data"
     assert cli.main(["--json", "run", str(data / "golden.gpt")]) == 0
     out = re.sub(r'("millis": )[-0-9.eE+]+', r"\g<1>0", capsys.readouterr().out)
-    assert {c["kind"] for c in json.loads(out)["checks"]} == set(CHECK_KINDS)
+    assert {c["kind"] for c in json.loads(out)["checks"]} == set(CHECKS)
     assert out == (data / "golden.json").read_text(encoding="utf-8")
 
 
@@ -216,8 +216,10 @@ def test_lri_subcommand_rejects_singular_map(tmp_path, d1_json):
     ("space G = point(1)\n", "1:11", "point takes 0 argument(s), found 1"),
     ("space G = cube()\n", "1:11", "cube takes 1 argument(s), found 0"),
     ("space G = gbit()\ncheck theorem1 G expect maybe\n", "2:25", "unknown outcome 'maybe'"),
+    ("space G = gbit()\ncheck group G expect 0\n", "2:22", "unknown outcome '0'"),
+    ("space G = gbit()\ncheck group G expect -8\n", "2:22", "unknown outcome '-8'"),
 ], ids=["builder-argument", "ctrl-map-count", "ctrl-map-shape", "gbit-3", "simplex-1-2",
-        "point-1", "cube-empty", "expect-maybe"])
+        "point-1", "cube-empty", "expect-maybe", "expect-order-zero", "expect-order-negative"])
 def test_run_evaluation_error_has_location(tmp_path, text, loc, message):
     bad = tmp_path / "bad.gpt"
     bad.write_text(text)
@@ -226,6 +228,15 @@ def test_run_evaluation_error_has_location(tmp_path, text, loc, message):
     assert proc.stderr.startswith(f"error: {loc}: ")
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_run_group_order_with_leading_zero_passes(tmp_path, capsys):
+    from gptlab import cli
+
+    scen = tmp_path / "order.gpt"
+    scen.write_text("space G = gbit()\ncheck group G expect 08\n")
+    assert cli.main(["run", str(scen)]) == 0
+    assert "c01-group" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [["run"], ["--json", "decompose"]], ids=["run", "decompose"])

@@ -32,7 +32,7 @@ from gptlab.interactions import (
 )
 from gptlab.linalg import Matrix, kron
 from gptlab.report import broadcaster_from_json, mat_to_json, witness_from_json
-from gptlab.runner import _witness_json
+from gptlab.report import witness_to_json
 from oracles import brute_force_lris, kron_lri_identity, reassemble, unimodular_u_preserving_map
 
 
@@ -221,7 +221,7 @@ def test_cached_member_check_still_rejects_a_forged_member():
 
 
 def test_witness_json_with_an_edited_perm_fails_verify(bit, bit_groups):
-    data = json.loads(json.dumps(_witness_json(lri_decompose(cnot_map(bit), bit, bit, bit_groups))))
+    data = json.loads(json.dumps(witness_to_json(lri_decompose(cnot_map(bit), bit, bit, bit_groups))))
     assert witness_from_json(bit, bit, bit_groups, data).verify()
     x_perms = data["x_perms"]
     # one perm reversed, one entry too few, one entry too many

@@ -1,10 +1,12 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from gptlab import runner as ex
 from gptlab import scenario as sc
+from gptlab.checks import CHECKS
 from gptlab.cli import demo_path
 from gptlab.report import validate_report
 from gptlab.scenario import ParseError, parse, print_ast
@@ -30,10 +32,13 @@ def test_unknown_builder_position():
 
 @pytest.mark.parametrize("text, expected", [
     ("space G = gbit()\ncheck theorem1 G expect maybe", ("pass", "inapplicable")),
-    ("space G = gbit()\ncheck group G expect true", ("an integer",)),
-    ("space G = gbit()\ncheck group G expect 1/2", ("an integer",)),
+    ("space G = gbit()\ncheck group G expect true", ("a positive integer",)),
+    ("space G = gbit()\ncheck group G expect 1/2", ("a positive integer",)),
+    ("space G = gbit()\ncheck group G expect 0", ("a positive integer",)),
+    ("space G = gbit()\ncheck group G expect -8", ("a positive integer",)),
     ("space G = gbit()\ncheck decompose G expect pass", ("decomposable", "irreducible")),
-], ids=["theorem1-maybe", "group-word", "group-fraction", "decompose-pass"])
+], ids=["theorem1-maybe", "group-word", "group-fraction", "group-zero", "group-negative",
+        "decompose-pass"])
 def test_expect_word_checked_against_check_kind(text, expected):
     with pytest.raises(ParseError) as err:
         parse(text)
@@ -47,19 +52,37 @@ def test_expect_accepts_each_outcome_and_budget_exceeded():
     operands = {"decompose": "A", "transitive": "A", "group": "A", "theorem1": "A",
                 "theorem2": "P", "distributivity": "A A A", "lri": "C on P",
                 "theorem3": "C on P", "broadcaster": "C on P", "entangled": "prbox on P"}
-    assert set(operands) == set(sc.CHECK_KINDS)
-    for kind, words in sc.CHECK_OUTCOMES.items():
-        for word in (words or ("8",)) + ("budget_exceeded",):
+    assert set(operands) == set(CHECKS)
+    for kind, entry in CHECKS.items():
+        for word in (entry.outcomes or ("8",)) + ("budget_exceeded",):
             check = parse(f"{prefix}check {kind} {operands[kind]} expect {word}").checks[0]
             assert check.expect == word
+
+
+def test_readme_outcome_table_lists_each_check_kind():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| kind | outcomes |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        kinds, outcomes = (cell.strip() for cell in line.strip("|").split("|"))
+        rows.update((kind, outcomes) for kind in kinds.split(", "))
+    assert rows == {kind: ", ".join(entry.outcomes) or "the group order, a positive integer"
+                    for kind, entry in CHECKS.items()}
 
 
 def test_demo_outcomes_are_in_their_tables():
     report = ex.execute(parse(demo_path().read_text()))
     for rec in report.checks:
         outcome = rec.certificate["outcome"]
-        assert outcome in sc.CHECK_OUTCOMES[rec.kind] or (
+        assert outcome in CHECKS[rec.kind].outcomes or (
             rec.kind == "group" and outcome.isdigit()), (rec.kind, outcome)
+
+
+@pytest.mark.parametrize("text", ["space expect = gbit()", "map expect = cnot"])
+def test_expect_is_not_a_name(text):
+    with pytest.raises(ParseError, match="'expect' is a keyword") as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (1, text.index("expect") + 1)
 
 
 def test_duplicate_definition_rejected():
@@ -174,6 +197,9 @@ def test_execute_group_expectation():
     assert rec.verdict == "pass"
     rec = ex.execute(parse("space G = gbit()\ncheck group G expect 12")).checks[0]
     assert rec.verdict == "fail"
+    ast = parse("space G = gbit()\ncheck group G expect 08")
+    assert ast.checks[0].expect == "8"
+    assert ex.execute(ast).checks[0].verdict == "pass"
 
 
 def test_execute_theorem1_forms():
@@ -271,3 +297,21 @@ def test_execute_singular_lri_outcome_none():
             "check lri T on DD")
     rec = ex.execute(parse(text)).checks[0]
     assert rec.certificate["outcome"] == "none"
+
+
+def test_error_records_keep_their_verdict_and_text():
+    text = ("space G = gbit()\nspace D1 = simplex(1)\nspace P4 = product(D1, D1)\n"
+            "map I = identity(G)\nmap CNOT = cnot\n"
+            "check entangled prbox on G\ncheck lri I on G\ncheck theorem3 I on G\n"
+            "check broadcaster I on G\ncheck theorem2 G\ncheck broadcaster CNOT on P4 b=7")
+    records = ex.execute(parse(text)).checks
+    assert [(r.check_id, r.verdict, r.certificate) for r in records] == [
+        (f"c{n:02d}-{kind}", "error", {"outcome": "error", "error": message})
+        for n, (kind, message) in enumerate([
+            ("entangled", "entangled check needs a product space"),
+            ("lri", "lri check needs a product space"),
+            ("theorem3", "theorem3 check needs a product space"),
+            ("broadcaster", "broadcaster check needs a product space"),
+            ("theorem2", "'G' is not a product space; pass two factor spaces"),
+            ("broadcaster", "fixed input 7 is not a pure state of the B factor 'D1'"),
+        ], start=1)]
