@@ -31,8 +31,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode", choices=("exact", "float"), default="exact")
     parser.add_argument("--eps", type=float, default=1e-9,
                         help="comparison tolerance in float mode")
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGETS.lri_assignments,
-                        help="cap on composite symmetries filtered as interaction candidates")
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGETS.group_nodes,
+                        help="node cap on each symmetry search")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -64,7 +64,7 @@ def demo_path() -> Path:
 
 
 def _config(args) -> RunConfig:
-    budgets = replace(DEFAULT_BUDGETS, lri_assignments=args.budget)
+    budgets = replace(DEFAULT_BUDGETS, group_nodes=args.budget)
     return RunConfig(mode=args.mode, eps=args.eps, budgets=budgets)
 
 

@@ -172,13 +172,10 @@ class Isomorphism:
 def spaces_isomorphic(s1: StateSpace, s2: StateSpace,
                       budgets: Budgets = DEFAULT_BUDGETS) -> Optional[Isomorphism]:
     """Search for a u-preserving linear bijection of vertex sets."""
-    if s1.nvertices != s2.nvertices:
-        return None
     perms = _search_vertex_maps(s1, s2, budgets.group_nodes, find_all=False)
     if not perms:
         return None
-    sigma = perms[0]
-    return Isomorphism(s1, s2, _map_matrix(s1, s2, sigma), sigma)
+    return Isomorphism(s1, s2, _map_matrix(s1, s2, perms[0]), perms[0])
 
 
 # -- classical subsystem (simplex factorization) -----------------------------

@@ -8,9 +8,9 @@ the target's entry by entry.  A bijection does that exactly when it extends
 to a linear map (Bremner, Dutour Sikirić, Pasechnik, Rehn & Schürmann,
 "Computing symmetry groups of polyhedra", 2014), so the search is complete
 without ever touching all n! permutations and needs no check at its leaves.
-The search reads each space's cached ``vertex_projector`` and
-``vertex_classes``; ``_map_matrix`` turns a bijection into a matrix on the
-source's cached ``span_frame``.
+It reads each space's cached ``vertex_projector`` and ``vertex_classes``,
+serves groups, isomorphisms and, told a composite's factors, interactions;
+``_map_matrix`` turns a bijection into a matrix on the source's span frame.
 """
 
 from __future__ import annotations
@@ -112,8 +112,8 @@ class SymmetryGroup:
         return self._by_perm[tuple(range(self.space.nvertices))]
 
 
-def _search_vertex_maps(src: StateSpace, dst: StateSpace,
-                        budget: int, find_all: bool) -> list:
+def _search_vertex_maps(src: StateSpace, dst: StateSpace, budget: int, find_all: bool,
+                        grid: Optional[tuple] = None) -> list:
     """Vertex bijections src -> dst extending to linear maps on the spans.
 
     These are the bijections that carry src's vertex projector P onto dst's
@@ -124,27 +124,48 @@ def _search_vertex_maps(src: StateSpace, dst: StateSpace,
     placed vertex is compared with every vertex placed before it, so a full
     assignment matches all n^2 entries and is accepted as it stands.  Span
     ranks are compared too, since float-mode classes are quantized keys.
+
+    With ``grid`` = (A, B), src is dst = min_tensor(A, B) and each grid
+    slice keeps its factor's projector too: cells (i, j), (i2, j) go to cells
+    with A-coordinates i', i2' where P_A[i'][i2'] = P_A[i][i2], each cell with
+    itself included, and alike for P_B within one a-slice.  So each slice map
+    is a factor symmetry and the bijections found are the LRIs.
     """
     ctx = src.ctx
     n = src.nvertices
     if n != dst.nvertices or len(src.span_frame[0]) != len(dst.span_frame[0]):
         return []
     src_classes, dst_classes = src.vertex_classes, dst.vertex_classes
-    if sorted(src_classes) != sorted(dst_classes):
-        return []
-
-    cand = [tuple(j for j in range(n) if dst_classes[j] == src_classes[i])
-            for i in range(n)]
-    order = sorted(range(n), key=lambda i: len(cand[i]))
 
     # Projector entries as small integer labels shared by both sides, so the
     # inner loop compares ints; labels follow ctx.key, as the classes do.
+    # Under ``grid`` a cell's coordinates keep their factors' classes, rows go
+    # on with the cells' P_A, then P_B entries, and pairs[i] lists the
+    # (vertex, row offset) pairs that i is compared on.
     labels: dict = {}
-    src_gram, dst_gram = (
-        [[labels.setdefault(ctx.key(x), len(labels)) for x in row]
-         for row in space.vertex_projector.rows]
-        for space in (src, dst)
-    )
+    src_gram, dst_gram = ([[labels.setdefault(ctx.key(x), len(labels)) for x in row]
+                           for row in space.vertex_projector.rows] for space in (src, dst))
+    pairs = [[(k, 0) for k in range(n)]] * n
+    if grid:
+        cells = src.product_index
+        (cls_a, pa), (cls_b, pb) = ((f.vertex_classes, f.vertex_projector.rows) for f in grid)
+        src_classes = dst_classes = tuple((c, cls_a[i], cls_b[j])
+                                          for c, (i, j) in zip(src_classes, cells))
+        for row, (i, j) in zip(src_gram, cells):
+            row += [labels.setdefault(ctx.key(x), len(labels)) for x in
+                    [pa[i][i2] for i2, _ in cells] + [pb[j][j2] for _, j2 in cells]]
+        dst_gram = src_gram
+        pairs = [pairs[0] + [(k, n) for k, c in enumerate(cells) if c[1] == j]
+                 + [(k, 2 * n) for k, c in enumerate(cells) if c[0] == i] for i, j in cells]
+    if sorted(src_classes) != sorted(dst_classes):
+        return []
+    cand = [tuple(j for j in range(n) if dst_classes[j] == src_classes[i])
+            for i in range(n)]
+    order = sorted(range(n), key=lambda i: len(cand[i]))
+    # mates[pos]: (vertex, row offset, label) of each pair placed before pos
+    rank = sorted(range(n), key=order.__getitem__)
+    mates = [[(k, off, src_gram[i][k + off]) for k, off in pairs[i] if rank[k] < pos]
+             for pos, i in enumerate(order)]
 
     sigma = [-1] * n
     used = [False] * n
@@ -157,16 +178,13 @@ def _search_vertex_maps(src: StateSpace, dst: StateSpace,
             found.append(tuple(sigma))
             return not find_all
         i = order[pos]
-        gi = src_gram[i]
-        placed = [(sigma[k], gi[k]) for k in order[:pos]]
+        placed = [(sigma[k] + off, g) for k, off, g in mates[pos]]
         for j in cand[i]:
             if used[j]:
                 continue
             nodes += 1
             if nodes > budget:
-                raise BudgetExceededError(
-                    f"symmetry search exceeded {budget} nodes"
-                )
+                raise BudgetExceededError(f"symmetry search exceeded {budget} nodes")
             gj = dst_gram[j]
             if any(gj[s] != g for s, g in placed):
                 continue

@@ -87,8 +87,7 @@ def _eval_space(stmt: sc.SpaceDef, env: _Env) -> ss.StateSpace:
                              made.factors, made.product_index)
     rows = [[ctx.num(x) for x in row] for row in e.rows]
     unit = [ctx.num(x) for x in e.unit]
-    made = ss.make_space(rows, unit, label=stmt.name, ctx=ctx)
-    return made
+    return ss.make_space(rows, unit, label=stmt.name, ctx=ctx)
 
 
 def _eval_map(stmt: sc.MapDef, env: _Env) -> Matrix:

@@ -17,3 +17,17 @@ def test_benchmark_setup_exits_zero(workload, seed):
     proc = subprocess.run([sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
                            "--setup-only"], capture_output=True, text=True, timeout=150)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lri_exhaust_timed_ops_answer_correctly(seed, tmp_path, monkeypatch):
+    """Cycles 0 and 1 of lri-exhaust, generated, run and checked in-process as
+    the timed ops are: a wrong answer or a failure to build an input shows
+    here, not only in a benchmark run."""
+    monkeypatch.syspath_prepend(str(RUN.parent))
+    import inputs
+
+    workload = inputs.WORKLOADS["lri-exhaust"](seed, tmp_path)
+    for cycle in (0, 1):
+        for inst in workload.make_cycle(cycle):
+            assert workload.check(inst, workload.run(inst)) == "", (cycle, inst.kind)

@@ -11,7 +11,8 @@ import pytest
 
 from gptlab.arith import Context, float_context
 from gptlab.dynamics import is_transitive, reversible_maps
-from gptlab.interactions import broadcast_f_map, cnot_map, lri_decompose, partial_broadcaster
+from gptlab.interactions import (broadcast_f_map, cnot_map, enumerate_lris, lri_decompose,
+                                 partial_broadcaster, verify_theorem2)
 from gptlab.geometry import face_lattice, is_face
 from gptlab.lp import in_hull
 from gptlab.statespace import State, extremal_effects, make_space
@@ -105,6 +106,24 @@ def test_exact_mode_misses_the_rotations(pentagon):
     space = make_space(approx, (0, 0, 1), "approx-pentagon")
     group = reversible_maps(space)
     assert group.order < 10
+
+
+def test_pentagon_times_bit_interactions(pentagon):
+    bit = make_space([(1.0, 0.0), (0.0, 1.0)], (1.0, 1.0), "bit", ctx=pentagon.ctx)
+    groups = (reversible_maps(pentagon), reversible_maps(bit))
+    enum = enumerate_lris(pentagon, bit, groups)
+    assert enum.complete
+    assert len(enum) == 200
+    assert sum(1 for _, w in enum if w.is_trivial()) == 20
+    assert all(w.verify() for _, w in enum)
+    rows = [t.rows for t, _ in enum]
+    assert rows == sorted(rows)
+
+
+def test_pentagon_pair_theorem2(pentagon):
+    group = reversible_maps(pentagon)
+    report = verify_theorem2(pentagon, pentagon, (group, group))
+    assert (report.verdict, report.total, report.trivial) == ("pass", 100, 100)
 
 
 def test_copied_states_are_pure_up_to_epsilon():

@@ -148,9 +148,9 @@ def test_enumeration_is_deterministic(bit, bit_groups):
 
 
 def test_enumeration_budget_flagging(bit, bit_groups):
-    enum = enumerate_lris(bit, bit, bit_groups, budgets=Budgets(lri_assignments=3))
+    enum = enumerate_lris(bit, bit, bit_groups, budgets=Budgets(group_nodes=3))
     assert not enum.complete
-    assert enum.explored >= 3
+    assert len(enum) == 0
 
 
 @pytest.mark.parametrize("build, lris", [(lambda: (ss.simplex(1), ss.simplex(1)), 12),
@@ -499,7 +499,7 @@ def test_conditional_structure_rejects_non_reversible(bit):
 
 def test_verify_theorem2_budget_exceeded(square_space, square_groups):
     report = verify_theorem2(square_space, square_space, square_groups,
-                             budgets=Budgets(lri_assignments=5))
+                             budgets=Budgets(group_nodes=5))
     assert report.verdict == "budget_exceeded"
 
 
@@ -605,6 +605,29 @@ def test_enumerate_counts_on_larger_composites(make_pair, total):
     assert len(enum) == total
     rows = [t.rows for t, _ in enum.pairs]
     assert rows == sorted(rows)
+
+
+def test_slice_checked_search_fits_a_budget_below_the_composite_group():
+    # the composite group search of simplex(2) x simplex(1) alone takes 1,956 nodes
+    a, b = ss.simplex(2), ss.simplex(1)
+    enum = enumerate_lris(a, b, (reversible_maps(a), reversible_maps(b)), Budgets(group_nodes=700))
+    assert enum.complete
+    assert len(enum) == enum.explored == 144
+
+
+def test_theorem2_on_squares_within_ten_thousand_nodes(square_space, square_groups):
+    report = verify_theorem2(square_space, square_space, square_groups,
+                             Budgets(group_nodes=10_000))
+    assert (report.verdict, report.total, report.trivial) == ("pass", 64, 64)
+
+
+def test_enumerate_simplex2_squared():
+    a = ss.simplex(2)
+    group = reversible_maps(a)
+    enum = enumerate_lris(a, a, (group, group))
+    assert enum.complete
+    assert len(enum) == 8784
+    assert sum(1 for _, w in enum if w.is_trivial()) == 36
 
 
 def test_composite_search_budget_flags_instead_of_raising(square_space, square_groups):

@@ -285,7 +285,7 @@ def test_execute_budget_exceeded_verdict():
     from gptlab.config import Budgets
     from gptlab.runner import RunConfig
 
-    config = RunConfig(budgets=Budgets(lri_assignments=3))
+    config = RunConfig(budgets=Budgets(group_nodes=3))
     text = "space G = gbit()\nspace GG = product(G, G)\ncheck theorem2 GG"
     rec = ex.execute(parse(text), config).checks[0]
     assert rec.verdict == "budget_exceeded"
