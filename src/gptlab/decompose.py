@@ -20,7 +20,6 @@ from .dynamics import (
     SymmetryGroup,
     _map_matrix,
     _search_vertex_maps,
-    _vertex_map,
     is_transitive,
 )
 from .linalg import Matrix, dot, veq
@@ -208,7 +207,6 @@ def classical_subsystem(space: StateSpace, group: SymmetryGroup,
     if decomp.n == 1:
         return None
 
-    ctx = space.ctx
     comp0 = decomp.components[0]
     c_space = comp0.space
     maps = []
@@ -221,22 +219,12 @@ def classical_subsystem(space: StateSpace, group: SymmetryGroup,
         maps.append(iso)
 
     n = decomp.n
-    delta = simplex(n - 1, ctx)
-    composite = min_tensor(delta, c_space)
-    dc = c_space.ambient_dim
-
-    # Column (i, m) of the big map: embed component-i image of basis vector m.
-    cols = []
-    for i in range(n):
-        embed = decomp.components[i].basis @ maps[i].matrix  # ambient x dc
-        for m in range(dc):
-            cols.append(embed.col(m))
-    big = Matrix.from_cols(cols, ctx)
-
-    vertex_map = _vertex_map(big, composite.vertices, space)
-    if vertex_map is None:
-        raise RuntimeError("factorization image missed the vertex set")
-    iso = Isomorphism(composite, space, big, vertex_map)
+    composite = min_tensor(simplex(n - 1, space.ctx), c_space)
+    # Simplex vertices are lex-sorted, so simplex vertex a is e_(n-1-a): the
+    # composite vertex of cell (a, m) goes to vertex m of component n-1-a.
+    sigma = tuple(decomp.components[n - 1 - a].indices[maps[n - 1 - a].vertex_map[m]]
+                  for a, m in composite.product_index)
+    iso = Isomorphism(composite, space, _map_matrix(composite, space, sigma), sigma)
     if not iso.verify():
         raise RuntimeError("classical-subsystem isomorphism failed verification")
     return ClassicalSubsystem(space, n - 1, c_space, iso, decomp)

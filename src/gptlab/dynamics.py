@@ -8,6 +8,9 @@ the target's entry by entry.  A bijection does that exactly when it extends
 to a linear map (Bremner, Dutour Sikirić, Pasechnik, Rehn & Schürmann,
 "Computing symmetry groups of polyhedra", 2014), so the search is complete
 without ever touching all n! permutations and needs no check at its leaves.
+It prunes by forward checking (Haralick & Elliott, 1980): placing a vertex
+narrows every later vertex's bitmask of targets, and an empty one cuts the
+branch before the search descends into it.
 It reads each space's cached ``vertex_projector`` and ``vertex_classes``,
 serves groups, isomorphisms and, told a composite's factors, interactions;
 ``_map_matrix`` turns a bijection into a matrix on the source's span frame.
@@ -120,9 +123,11 @@ def _search_vertex_maps(src: StateSpace, dst: StateSpace, budget: int, find_all:
     P': the kernel of P is the space of linear dependencies among the
     vertices, so P'[sigma i][sigma j] = P[i][j] for all i, j exactly when
     sigma maps dependencies onto dependencies.  A vertex goes only to a vertex
-    of its class (``vertex_classes``, which holds its diagonal entry), and each
-    placed vertex is compared with every vertex placed before it, so a full
-    assignment matches all n^2 entries and is accepted as it stands.  Span
+    of its class (``vertex_classes``, which holds its diagonal entry), and
+    placing i -> j keeps in each later vertex k's bitmask domain only the
+    l != j with P'[l][j] = P[k][i], so a full assignment matches all n^2
+    entries.  A node is one target tried; a static order (fewest targets first)
+    and increasing targets give the order an unpruned search would.  Span
     ranks are compared too, since float-mode classes are quantized keys.
 
     With ``grid`` = (A, B), src is dst = min_tensor(A, B) and each grid
@@ -159,44 +164,49 @@ def _search_vertex_maps(src: StateSpace, dst: StateSpace, budget: int, find_all:
                  + [(k, 2 * n) for k, c in enumerate(cells) if c[0] == i] for i, j in cells]
     if sorted(src_classes) != sorted(dst_classes):
         return []
-    cand = [tuple(j for j in range(n) if dst_classes[j] == src_classes[i])
-            for i in range(n)]
-    order = sorted(range(n), key=lambda i: len(cand[i]))
-    # mates[pos]: (vertex, row offset, label) of each pair placed before pos
+    domain = [sum(1 << j for j in range(n) if dst_classes[j] == c) for c in src_classes]
+    order = sorted(range(n), key=lambda i: domain[i].bit_count())
     rank = sorted(range(n), key=order.__getitem__)
-    mates = [[(k, off, src_gram[i][k + off]) for k, off in pairs[i] if rank[k] < pos]
-             for pos, i in enumerate(order)]
+    # after[pos][j]: per later position, the bitmask of targets left open by
+    # order[pos] -> j; by_col[c][x]: bitmask of the l with dst_gram[l][c] == x.
+    by_col = [{} for _ in dst_gram[0]]
+    for l, row in enumerate(dst_gram):
+        for col, x in zip(by_col, row):
+            col[x] = col.get(x, 0) | 1 << l
+    after = []
+    for pos, i in enumerate(order):
+        after.append({j: [~(1 << j)] * (n - pos - 1) for j in range(n) if domain[i] >> j & 1})
+        for k, off in pairs[i]:
+            if rank[k] > pos:
+                for j, masks in after[pos].items():
+                    masks[rank[k] - pos - 1] &= by_col[j + off].get(src_gram[k][i + off], 0)
 
     sigma = [-1] * n
-    used = [False] * n
     found = []
     nodes = 0
 
-    def backtrack(pos: int) -> bool:
+    def backtrack(pos: int, doms: list) -> bool:  # doms: positions pos, pos + 1, ...
         nonlocal nodes
         if pos == n:
             found.append(tuple(sigma))
             return not find_all
-        i = order[pos]
-        placed = [(sigma[k] + off, g) for k, off, g in mates[pos]]
-        for j in cand[i]:
-            if used[j]:
-                continue
+        dom = doms[0]
+        while dom:
+            bit = dom & -dom
+            dom ^= bit
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(f"symmetry search exceeded {budget} nodes")
-            gj = dst_gram[j]
-            if any(gj[s] != g for s, g in placed):
+            j = bit.bit_length() - 1
+            rest = [d & m for d, m in zip(doms[1:], after[pos][j])]
+            if 0 in rest:
                 continue
-            sigma[i] = j
-            used[j] = True
-            if backtrack(pos + 1):
+            sigma[order[pos]] = j
+            if backtrack(pos + 1, rest):
                 return True
-            sigma[i] = -1
-            used[j] = False
         return False
 
-    backtrack(0)
+    backtrack(0, [domain[i] for i in order])
     return found
 
 

@@ -163,8 +163,8 @@ def test_exceeded_group_budget_exits_two(gbit_json, monkeypatch, capsys):
 def test_verify_over_budget_exits_two(gbit_json, capsys):
     from gptlab import cli
 
-    # the gbit group search takes 40 nodes, the gbit x gbit interaction search 9,760
-    assert cli.main(["--budget", "1000", "verify", str(gbit_json), str(gbit_json)]) == 2
+    # the gbit group search takes 28 nodes, the gbit x gbit interaction search 944
+    assert cli.main(["--budget", "100", "verify", str(gbit_json), str(gbit_json)]) == 2
     assert "budget_exceeded" in capsys.readouterr().out
 
 

@@ -136,6 +136,21 @@ def test_isomorphism_scramble_roundtrip():
         assert iso.verify()
 
 
+@pytest.mark.parametrize("seed, make, expected", [
+    (1, lambda g: min_tensor(g, g), (0, 1, 7, 15, 3, 2, 8, 13, 4, 12, 11, 9, 5, 14, 6, 10)),
+    (2, lambda g: direct_sum(g, g), (0, 2, 1, 4, 5, 7, 3, 6)),
+    (3, lambda g: min_tensor(ss.simplex(2), g), (0, 1, 2, 4, 3, 5, 7, 8, 6, 9, 10, 11)),
+], ids=["gbit*gbit", "gbit+gbit", "simplex2*gbit"])
+def test_first_hit_isomorphism_is_pinned(seed, make, expected):
+    """The search's first hit is the vertex map a theorem1 certificate
+    prints; it is pinned on seeded scrambles."""
+    space = make(ss.gbit())
+    moved = transformed(space, unimodular_u_preserving_map(space, random.Random(seed)))
+    iso = spaces_isomorphic(space, moved)
+    assert iso.vertex_map == expected
+    assert iso.verify()
+
+
 def test_scramble_invariance_of_decomposition():
     rng = random.Random(9)
     space = direct_sum(ss.simplex(1), ss.gbit())

@@ -172,6 +172,14 @@ def test_budget_guard():
         reversible_maps(ss.cube(3), budgets=Budgets(group_nodes=10))
 
 
+def test_cube5_group_within_a_node_ceiling():
+    # the search lists the 3,840 symmetries of cube(5) in 101,312 nodes
+    assert reversible_maps(ss.cube(5), Budgets(group_nodes=110_000)).order == 3840
+    cube = ss.cube(5)
+    moved = transformed(cube, unimodular_u_preserving_map(cube, random.Random(5)))
+    assert reversible_maps(moved).order == 3840
+
+
 def test_identity_induces_identity_face_automorphism(square):
     group = reversible_maps(square)
     lattice = face_lattice(square.vertices)

@@ -608,17 +608,26 @@ def test_enumerate_counts_on_larger_composites(make_pair, total):
 
 
 def test_slice_checked_search_fits_a_budget_below_the_composite_group():
-    # the composite group search of simplex(2) x simplex(1) alone takes 1,956 nodes
+    # the composite group search of simplex(2) x simplex(1) alone takes 1,956
+    # nodes; the interaction search takes 480
     a, b = ss.simplex(2), ss.simplex(1)
-    enum = enumerate_lris(a, b, (reversible_maps(a), reversible_maps(b)), Budgets(group_nodes=700))
+    enum = enumerate_lris(a, b, (reversible_maps(a), reversible_maps(b)), Budgets(group_nodes=500))
     assert enum.complete
     assert len(enum) == enum.explored == 144
 
 
-def test_theorem2_on_squares_within_ten_thousand_nodes(square_space, square_groups):
+def test_theorem2_on_squares_within_one_thousand_nodes(square_space, square_groups):
+    # the interaction search on gbit x gbit takes 944 nodes
     report = verify_theorem2(square_space, square_space, square_groups,
-                             Budgets(group_nodes=10_000))
+                             Budgets(group_nodes=1_000))
     assert (report.verdict, report.total, report.trivial) == ("pass", 64, 64)
+
+
+def test_interaction_search_on_simplex1_plus_gbit_by_gbit_within_a_node_ceiling():
+    # the plain pair takes 121,560 nodes
+    a, b = ss.direct_sum(ss.simplex(1), ss.gbit()), ss.gbit()
+    c = ss.min_tensor(a, b)
+    assert len(dynamics._search_vertex_maps(c, c, 125_000, True, (a, b))) == 8192
 
 
 def test_enumerate_simplex2_squared():
