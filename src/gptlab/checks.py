@@ -43,9 +43,9 @@ def _decompose(_env, space):
 
 
 def _transitive(env, space):
-    group = env.group(space)
-    verdict = dyn.is_transitive(space, group)
-    return (*_truth(verdict), {"transitive": verdict, "orbits": dyn.orbits(space, group)})
+    orbits = dyn.orbits(space, env.config.budgets)
+    verdict = len(orbits) == 1
+    return (*_truth(verdict), {"transitive": verdict, "orbits": orbits})
 
 
 def _group(env, space):
@@ -74,10 +74,10 @@ def _entangled(_env, state, a, b):
 
 
 def _theorem1(env, space):
-    group = env.group(space)
-    if not dyn.is_transitive(space, group):
+    try:
+        result = dec.classical_subsystem(space, env.config.budgets)
+    except dec.NotTransitiveError:
         return "inapplicable", "inapplicable", {"reason": "space is not transitive"}
-    result = dec.classical_subsystem(space, group, env.config.budgets)
     if result is None:
         return "inapplicable", "inapplicable", {"reason": "space is irreducible"}
     cert = {"N": result.n_levels, "component_vertices": result.component.nvertices,

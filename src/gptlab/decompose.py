@@ -16,12 +16,7 @@ from functools import cached_property
 from typing import Optional
 
 from .config import DEFAULT_BUDGETS, Budgets
-from .dynamics import (
-    SymmetryGroup,
-    _map_matrix,
-    _search_vertex_maps,
-    is_transitive,
-)
+from .dynamics import _map_matrix, _search_vertex_maps, is_transitive
 from .linalg import Matrix, dot, veq
 from .statespace import Effect, StateSpace, _assemble, min_tensor, sends_vertices, simplex
 
@@ -191,17 +186,17 @@ class ClassicalSubsystem:
     decomposition: Decomposition
 
 
-def classical_subsystem(space: StateSpace, group: SymmetryGroup,
+def classical_subsystem(space: StateSpace,
                         budgets: Budgets = DEFAULT_BUDGETS) -> Optional[ClassicalSubsystem]:
     """Factor a transitive decomposable space as simplex(N) (x) C.
 
     Returns None when the space is irreducible; raises NotTransitiveError
-    when the provided group does not act transitively (a precondition
-    violation, not a negative answer).
+    when its reversible group does not act transitively (a precondition
+    violation, not a negative answer).  Transitivity is read off the vertex
+    orbits (``dynamics.orbits``), so no group is listed; ``budgets.group_nodes``
+    caps each orbit search and each component isomorphism search.
     """
-    if group.space is not space:
-        raise ValueError("group was computed for a different space")
-    if not is_transitive(space, group):
+    if not is_transitive(space, budgets):
         raise NotTransitiveError(f"{space.label!r} is not transitive")
     decomp = irreducible_components(space)
     if decomp.n == 1:

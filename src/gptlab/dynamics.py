@@ -14,6 +14,10 @@ branch before the search descends into it.
 It reads each space's cached ``vertex_projector`` and ``vertex_classes``,
 serves groups, isomorphisms and, told a composite's factors, interactions;
 ``_map_matrix`` turns a bijection into a matrix on the source's span frame.
+The tables of a search of a space's own symmetries are built once and kept
+on the space.  A search can pin one vertex to one target, and ``orbits``
+runs such pinned first-hit searches, so ``theorem1`` and ``transitive``
+never list a group.
 """
 
 from __future__ import annotations
@@ -116,7 +120,7 @@ class SymmetryGroup:
 
 
 def _search_vertex_maps(src: StateSpace, dst: StateSpace, budget: int, find_all: bool,
-                        grid: Optional[tuple] = None) -> list:
+                        grid: Optional[tuple] = None, *, pin: Optional[tuple] = None) -> list:
     """Vertex bijections src -> dst extending to linear maps on the spans.
 
     These are the bijections that carry src's vertex projector P onto dst's
@@ -135,51 +139,30 @@ def _search_vertex_maps(src: StateSpace, dst: StateSpace, budget: int, find_all:
     with A-coordinates i', i2' where P_A[i'][i2'] = P_A[i][i2], each cell with
     itself included, and alike for P_B within one a-slice.  So each slice map
     is a factor symmetry and the bijections found are the LRIs.
-    """
-    ctx = src.ctx
-    n = src.nvertices
-    if n != dst.nvertices or len(src.span_frame[0]) != len(dst.span_frame[0]):
-        return []
-    src_classes, dst_classes = src.vertex_classes, dst.vertex_classes
 
-    # Projector entries as small integer labels shared by both sides, so the
-    # inner loop compares ints; labels follow ctx.key, as the classes do.
-    # Under ``grid`` a cell's coordinates keep their factors' classes, rows go
-    # on with the cells' P_A, then P_B entries, and pairs[i] lists the
-    # (vertex, row offset) pairs that i is compared on.
-    labels: dict = {}
-    src_gram, dst_gram = ([[labels.setdefault(ctx.key(x), len(labels)) for x in row]
-                           for row in space.vertex_projector.rows] for space in (src, dst))
-    pairs = [[(k, 0) for k in range(n)]] * n
-    if grid:
-        cells = src.product_index
-        (cls_a, pa), (cls_b, pb) = ((f.vertex_classes, f.vertex_projector.rows) for f in grid)
-        src_classes = dst_classes = tuple((c, cls_a[i], cls_b[j])
-                                          for c, (i, j) in zip(src_classes, cells))
-        for row, (i, j) in zip(src_gram, cells):
-            row += [labels.setdefault(ctx.key(x), len(labels)) for x in
-                    [pa[i][i2] for i2, _ in cells] + [pb[j][j2] for _, j2 in cells]]
-        dst_gram = src_gram
-        pairs = [pairs[0] + [(k, n) for k, c in enumerate(cells) if c[1] == j]
-                 + [(k, 2 * n) for k, c in enumerate(cells) if c[0] == i] for i, j in cells]
-    if sorted(src_classes) != sorted(dst_classes):
+    ``pin`` = (i, j) keeps only the bijections sending i to j: it ANDs i's
+    start domain with bit j.  The static order still comes from the class
+    domains, so an unpinned search runs as it always has.  The tables
+    (``_search_tables``) of a search of a space's own symmetries (src is dst,
+    no grid) are built once and kept on the space, as ``span_frame`` is.
+    """
+    if src is dst and grid is None:
+        cache = vars(src)
+        if "_search_tables" not in cache:
+            cache["_search_tables"] = _search_tables(src, src, None)
+        tables = cache["_search_tables"]
+    else:
+        tables = _search_tables(src, dst, grid)
+    if tables is None:
         return []
-    domain = [sum(1 << j for j in range(n) if dst_classes[j] == c) for c in src_classes]
-    order = sorted(range(n), key=lambda i: domain[i].bit_count())
-    rank = sorted(range(n), key=order.__getitem__)
-    # after[pos][j]: per later position, the bitmask of targets left open by
-    # order[pos] -> j; by_col[c][x]: bitmask of the l with dst_gram[l][c] == x.
-    by_col = [{} for _ in dst_gram[0]]
-    for l, row in enumerate(dst_gram):
-        for col, x in zip(by_col, row):
-            col[x] = col.get(x, 0) | 1 << l
-    after = []
-    for pos, i in enumerate(order):
-        after.append({j: [~(1 << j)] * (n - pos - 1) for j in range(n) if domain[i] >> j & 1})
-        for k, off in pairs[i]:
-            if rank[k] > pos:
-                for j, masks in after[pos].items():
-                    masks[rank[k] - pos - 1] &= by_col[j + off].get(src_gram[k][i + off], 0)
+    order, start, after = tables
+    n = len(order)
+    if pin is not None:
+        i, j = pin
+        start = list(start)
+        start[order.index(i)] &= 1 << j
+        if 0 in start:
+            return []
 
     sigma = [-1] * n
     found = []
@@ -206,8 +189,59 @@ def _search_vertex_maps(src: StateSpace, dst: StateSpace, budget: int, find_all:
                 return True
         return False
 
-    backtrack(0, [domain[i] for i in order])
+    backtrack(0, start)
     return found
+
+
+def _search_tables(src: StateSpace, dst: StateSpace, grid: Optional[tuple]) -> Optional[tuple]:
+    """(order, start, after) of ``_search_vertex_maps``, or None when no
+    bijection can match: the static vertex order, each position's class
+    domain, and per position and target the masks left open later on."""
+    ctx = src.ctx
+    n = src.nvertices
+    if n != dst.nvertices or len(src.span_frame[0]) != len(dst.span_frame[0]):
+        return None
+    src_classes, dst_classes = src.vertex_classes, dst.vertex_classes
+
+    # Projector entries as small integer labels shared by both sides, so the
+    # inner loop compares ints; labels follow ctx.key, as the classes do.
+    # Under ``grid`` a cell's coordinates keep their factors' classes, rows go
+    # on with the cells' P_A, then P_B entries, and pairs[i] lists the
+    # (vertex, row offset) pairs that i is compared on.
+    labels: dict = {}
+    src_gram, dst_gram = ([[labels.setdefault(ctx.key(x), len(labels)) for x in row]
+                           for row in space.vertex_projector.rows] for space in (src, dst))
+    pairs = [[(k, 0) for k in range(n)]] * n
+    if grid:
+        cells = src.product_index
+        (cls_a, pa), (cls_b, pb) = ((f.vertex_classes, f.vertex_projector.rows) for f in grid)
+        src_classes = dst_classes = tuple((c, cls_a[i], cls_b[j])
+                                          for c, (i, j) in zip(src_classes, cells))
+        for row, (i, j) in zip(src_gram, cells):
+            row += [labels.setdefault(ctx.key(x), len(labels)) for x in
+                    [pa[i][i2] for i2, _ in cells] + [pb[j][j2] for _, j2 in cells]]
+        dst_gram = src_gram
+        pairs = [pairs[0] + [(k, n) for k, c in enumerate(cells) if c[1] == j]
+                 + [(k, 2 * n) for k, c in enumerate(cells) if c[0] == i] for i, j in cells]
+    if sorted(src_classes) != sorted(dst_classes):
+        return None
+    domain = [sum(1 << j for j in range(n) if dst_classes[j] == c) for c in src_classes]
+    order = sorted(range(n), key=lambda i: domain[i].bit_count())
+    rank = sorted(range(n), key=order.__getitem__)
+    # after[pos][j]: per later position, the bitmask of targets left open by
+    # order[pos] -> j; by_col[c][x]: bitmask of the l with dst_gram[l][c] == x.
+    by_col = [{} for _ in dst_gram[0]]
+    for l, row in enumerate(dst_gram):
+        for col, x in zip(by_col, row):
+            col[x] = col.get(x, 0) | 1 << l
+    after = []
+    for pos, i in enumerate(order):
+        after.append({j: [~(1 << j)] * (n - pos - 1) for j in range(n) if domain[i] >> j & 1})
+        for k, off in pairs[i]:
+            if rank[k] > pos:
+                for j, masks in after[pos].items():
+                    masks[rank[k] - pos - 1] &= by_col[j + off].get(src_gram[k][i + off], 0)
+    return order, [domain[i] for i in order], after
 
 
 def _map_matrix(src: StateSpace, dst: StateSpace, sigma) -> Matrix:
@@ -309,28 +343,51 @@ def as_reversible_map(space: StateSpace, matrix: Matrix) -> ReversibleMap:
     return rmap
 
 
-def is_transitive(space: StateSpace, group: SymmetryGroup) -> bool:
+def is_transitive(space: StateSpace, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
     """Single orbit of the vertex-permutation action."""
-    return len(orbits(space, group)) == 1
+    return len(orbits(space, budgets)) == 1
 
 
-def orbits(space: StateSpace, group: SymmetryGroup) -> list:
-    remaining = set(range(space.nvertices))
+def orbits(space: StateSpace, budgets: Budgets = DEFAULT_BUDGETS) -> list:
+    """The vertex orbits of the reversible group, each sorted, by least vertex.
+
+    No group is listed (the orbit algorithm of Seress, "Permutation Group
+    Algorithms", 2003, ch. 2).  For the least vertex s not yet in an orbit
+    and each later vertex t of s's class not yet reached, one first-hit
+    search with s pinned to t either finds a symmetry, kept as a generator,
+    or shows that t is not in s's orbit.  The orbit is closed under every
+    generator found so far.  ``budgets.group_nodes`` caps each search.
+    """
+    n = space.nvertices
+    classes = space.vertex_classes
+    gens: list = []
+    remaining = set(range(n))
     out = []
-    perms = group.perms
     while remaining:
-        start = min(remaining)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            i = frontier.pop()
-            for p in perms:
-                if p[i] not in seen:
-                    seen.add(p[i])
-                    frontier.append(p[i])
-        out.append(sorted(seen))
-        remaining -= seen
+        s = min(remaining)
+        orbit = _closure({s}, gens)
+        for t in range(s + 1, n):
+            if t in orbit or t not in remaining or classes[t] != classes[s]:
+                continue
+            hit = _search_vertex_maps(space, space, budgets.group_nodes, False, pin=(s, t))
+            if hit:
+                gens.append(hit[0])
+                orbit = _closure(orbit, gens)
+        out.append(sorted(orbit))
+        remaining -= orbit
     return out
+
+
+def _closure(points: set, perms: list) -> set:
+    """The smallest superset of the points that every perm maps into itself."""
+    frontier = list(points)
+    while frontier:
+        i = frontier.pop()
+        for p in perms:
+            if p[i] not in points:
+                points.add(p[i])
+                frontier.append(p[i])
+    return points
 
 
 @dataclass(frozen=True)

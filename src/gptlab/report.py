@@ -7,6 +7,7 @@ rational matrices/tables that the library can re-verify when loaded back.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -87,10 +88,24 @@ class Report:
 
 
 def validate_report(data: dict) -> None:
-    """Schema-validate a report dict; raises jsonschema.ValidationError."""
-    import jsonschema
+    """Schema-validate a report dict; raises jsonschema.ValidationError.
 
-    jsonschema.validate(data, REPORT_SCHEMA)
+    The error is the one ``jsonschema.validate`` raises (``best_match``), but
+    the validator is built once, so ``REPORT_SCHEMA`` is not checked against
+    its metaschema on every call (a test checks it once).
+    """
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_report_validator().iter_errors(data))
+    if error is not None:
+        raise error
+
+
+@functools.cache
+def _report_validator():
+    from jsonschema.validators import validator_for
+
+    return validator_for(REPORT_SCHEMA)(REPORT_SCHEMA)
 
 
 # -- rational JSON helpers -----------------------------------------------------

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's LP/search code paths: hull membership
 is re-derived by Fourier-Motzkin elimination, faces by an integer grid of
-supporting functionals, symmetry groups by unpruned permutation search, and
+supporting functionals, symmetry groups by unpruned permutation search,
+orbits by closing each vertex under every element of a listed group, and
 decompositions by exhaustive set-partition search.  They only run at tiny
 sizes.  ``fraction_phase1`` is the phase-1 simplex as it ran on a Fraction
 tableau, before ``lp`` pivoted in integers; it pins the certificates, pivot
@@ -209,6 +210,26 @@ def unpruned_symmetries(vertices, u):
         if ok:
             perms.append(sigma)
     return perms
+
+
+def orbits(space, group):
+    """Vertex orbits of a listed group: each sorted, ordered by least vertex."""
+    remaining = set(range(space.nvertices))
+    out = []
+    perms = group.perms
+    while remaining:
+        start = min(remaining)
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            i = frontier.pop()
+            for p in perms:
+                if p[i] not in seen:
+                    seen.add(p[i])
+                    frontier.append(p[i])
+        out.append(sorted(seen))
+        remaining -= seen
+    return out
 
 
 def random_u_preserving_map(space, rng):

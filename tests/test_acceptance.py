@@ -77,8 +77,7 @@ def test_criterion_2_theorem1_roundtrip_scrambled(capsys):
         for comp in decomp.components:
             iso = spaces_isomorphic(reference, comp.space)
             assert iso is not None and iso.verify()
-        group = reversible_maps(scrambled)
-        result = classical_subsystem(scrambled, group)
+        result = classical_subsystem(scrambled)
         assert result is not None
         assert result.n_levels == 2
         assert result.iso.verify()

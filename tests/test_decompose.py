@@ -165,8 +165,7 @@ def test_scramble_invariance_of_decomposition():
 
 def test_classical_subsystem_simplex():
     space = ss.simplex(2)
-    group = reversible_maps(space)
-    result = classical_subsystem(space, group)
+    result = classical_subsystem(space)
     assert isinstance(result, ClassicalSubsystem)
     assert result.n_levels == 2
     assert result.component.nvertices == 1  # the point space
@@ -175,8 +174,7 @@ def test_classical_subsystem_simplex():
 
 def test_classical_subsystem_gbit_pair():
     space = direct_sum(ss.gbit(), ss.gbit())
-    group = reversible_maps(space)
-    result = classical_subsystem(space, group)
+    result = classical_subsystem(space)
     assert result is not None
     assert result.n_levels == 1
     assert result.component.nvertices == 4
@@ -189,16 +187,15 @@ def test_classical_subsystem_gbit_pair():
 
 def test_classical_subsystem_irreducible_returns_none():
     g = ss.gbit()
-    assert classical_subsystem(g, reversible_maps(g)) is None
+    assert classical_subsystem(g) is None
 
 
 def test_classical_subsystem_requires_transitivity():
     house = ss.make_space(
         [(-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1), (0, 2, 1)],
         (0, 0, 1), "house")
-    group = reversible_maps(house)
     with pytest.raises(NotTransitiveError):
-        classical_subsystem(house, group)
+        classical_subsystem(house)
 
 
 def test_transitive_decomposable_components_pairwise_isomorphic():

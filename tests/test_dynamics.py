@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gptlab import dynamics as dyn
 from gptlab import statespace as ss
 from gptlab.config import Budgets, BudgetExceededError
 from gptlab.dynamics import (
@@ -18,7 +19,8 @@ from gptlab.dynamics import (
 )
 from gptlab.geometry import face_lattice, join
 from gptlab.linalg import Matrix
-from gptlab.statespace import min_tensor, transformed
+from gptlab.statespace import direct_sum, min_tensor, transformed
+from oracles import orbits as listed_orbits
 from oracles import random_polytope, unimodular_u_preserving_map, unpruned_symmetries
 
 
@@ -145,26 +147,85 @@ def test_vertex_permutation_of_quarter_turn(square):
 
 def test_transitivity_examples():
     for n in (1, 2, 3):
-        space = ss.simplex(n)
-        assert is_transitive(space, reversible_maps(space))
-    g = ss.gbit()
-    assert is_transitive(g, reversible_maps(g))
+        assert is_transitive(ss.simplex(n))
+    assert is_transitive(ss.gbit())
 
 
-def test_house_polytope_not_transitive():
+def _house():
     # square plus an apex: the apex is fixed by every symmetry
-    house = ss.make_space(
+    return ss.make_space(
         [(-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1), (0, 2, 1)],
         (0, 0, 1),
         "house",
     )
-    group = reversible_maps(house)
-    assert not is_transitive(house, group)
+
+
+def test_house_polytope_not_transitive():
+    house = _house()
+    assert not is_transitive(house)
     # only the x-mirror survives: apex fixed, top and bottom edges swap within
-    orbs = orbits(house, group)
+    orbs = orbits(house)
     assert sorted(len(o) for o in orbs) == [1, 2, 2]
     apex = house.vertices.index((0, 2, 1))
     assert [apex] in orbs
+
+
+# name -> (space builder, transitive?)
+ORBIT_SPACES = {
+    "gbit": (ss.gbit, True),
+    "cube3": (lambda: ss.cube(3), True),
+    "cross3": (lambda: ss.cross(3), True),
+    "simplex2*gbit": (lambda: min_tensor(ss.simplex(2), ss.gbit()), True),
+    "gbit*gbit": (lambda: min_tensor(ss.gbit(), ss.gbit()), True),
+    "gbit+gbit": (lambda: direct_sum(ss.gbit(), ss.gbit()), True),
+    "house": (_house, False),
+    "gbit+point": (lambda: direct_sum(ss.gbit(), ss.point()), False),
+    "simplex1+gbit": (lambda: direct_sum(ss.simplex(1), ss.gbit()), False),
+}
+
+
+@pytest.mark.parametrize("name", ORBIT_SPACES)
+def test_orbits_match_the_listed_group(name):
+    # pinned first-hit searches give the partition the whole group gives,
+    # in the same sorted lists, plain and on three seeded scrambles
+    build, transitive = ORBIT_SPACES[name]
+    base = build()
+    for seed in (None, 1, 2, 3):
+        space = base if seed is None else transformed(
+            base, unimodular_u_preserving_map(base, random.Random(seed)))
+        orbs = orbits(space)
+        assert orbs == listed_orbits(space, reversible_maps(space))
+        assert (len(orbs) == 1) == transitive == is_transitive(space)
+
+
+def test_pinned_search_keeps_the_maps_through_the_pin():
+    cube = ss.cube(3)
+    every = dyn._search_vertex_maps(cube, cube, 10**4, True)
+    for j in (0, 5, 7):
+        pinned = dyn._search_vertex_maps(cube, cube, 10**4, True, pin=(2, j))
+        assert pinned == [p for p in every if p[2] == j]
+        first = dyn._search_vertex_maps(cube, cube, 10**4, False, pin=(2, j))
+        assert first == pinned[:1]
+
+
+def test_search_tables_built_once_per_space(monkeypatch):
+    builds = []
+    build = dyn._search_tables
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(dyn, "_search_tables", counted)
+    space = min_tensor(ss.gbit(), ss.gbit())
+    first = reversible_maps(space)
+    assert len(builds) == 1
+    assert reversible_maps(space).perms == first.perms
+    assert is_transitive(space)
+    assert len(builds) == 1
+    # a grid search or a search between two spaces builds its own tables
+    dyn._search_vertex_maps(space, space, 10**4, False, (ss.gbit(), ss.gbit()))
+    assert len(builds) == 2
 
 
 def test_budget_guard():
@@ -232,8 +293,7 @@ def test_join_preservation_exhaustive(square):
 
 def test_orbit_refines_gram_classes(square):
     # sanity check on the pruning metric: orbits never cross class boundaries
-    group = reversible_maps(square)
-    for orb in orbits(square, group):
+    for orb in orbits(square):
         keys = {square.vertex_classes[i] for i in orb}
         assert len(keys) == 1
 

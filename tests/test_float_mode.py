@@ -6,16 +6,20 @@ irrational.  Acceptance tests never use this mode.
 """
 
 import math
+import random
 
 import pytest
 
 from gptlab.arith import Context, float_context
-from gptlab.dynamics import is_transitive, reversible_maps
+from gptlab.dynamics import is_transitive, orbits, reversible_maps
 from gptlab.interactions import (broadcast_f_map, cnot_map, enumerate_lris, lri_decompose,
                                  partial_broadcaster, verify_theorem2)
 from gptlab.geometry import face_lattice, is_face
 from gptlab.lp import in_hull
-from gptlab.statespace import State, extremal_effects, make_space
+from gptlab.linalg import Matrix
+from gptlab.statespace import State, extremal_effects, gbit, make_space, transformed
+from oracles import orbits as listed_orbits
+from oracles import unimodular_u_preserving_map
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
@@ -94,7 +98,16 @@ def test_pentagon_extremal_effects(pentagon):
 def test_pentagon_dihedral_group(pentagon):
     group = reversible_maps(pentagon)
     assert group.order == 10
-    assert is_transitive(pentagon, group)
+    assert is_transitive(pentagon)
+
+
+def test_pentagon_orbits_match_the_listed_group(pentagon):
+    assert orbits(pentagon) == listed_orbits(pentagon, reversible_maps(pentagon))
+    for seed in (1, 2, 3):
+        # an integer map fixing u = (0, 0, 1), the pentagon's unit effect too
+        lin = unimodular_u_preserving_map(gbit(), random.Random(seed))
+        moved = transformed(pentagon, Matrix.from_rows(lin.rows, pentagon.ctx))
+        assert orbits(moved) == listed_orbits(moved, reversible_maps(moved)) == [[0, 1, 2, 3, 4]]
 
 
 def test_exact_mode_misses_the_rotations(pentagon):

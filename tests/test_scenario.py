@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from gptlab import runner as ex
+from gptlab import statespace as ss
 from gptlab import scenario as sc
 from gptlab.checks import CHECKS
 from gptlab.cli import demo_path
@@ -235,6 +236,19 @@ def test_report_schema_and_determinism():
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
 
+def test_report_schema_is_valid_and_rejects_a_broken_field():
+    import jsonschema
+
+    from gptlab.report import REPORT_SCHEMA
+
+    jsonschema.validators.validator_for(REPORT_SCHEMA).check_schema(REPORT_SCHEMA)
+    data = ex.execute(parse("space G = gbit()\ncheck transitive G")).to_dict()
+    validate_report(data)
+    data["checks"][0]["verdict"] = "maybe"
+    with pytest.raises(jsonschema.ValidationError):
+        validate_report(data)
+
+
 def test_report_json_roundtrip_bit_exact():
     report = ex.execute(parse("space G = gbit()\ncheck group G"))
     blob = report.to_json()
@@ -289,6 +303,39 @@ def test_execute_budget_exceeded_verdict():
     text = "space G = gbit()\nspace GG = product(G, G)\ncheck theorem2 GG"
     rec = ex.execute(parse(text), config).checks[0]
     assert rec.verdict == "budget_exceeded"
+
+
+def test_theorem1_reads_orbits_not_the_group():
+    from gptlab.config import Budgets
+    from gptlab.runner import RunConfig
+
+    # listing the group of simplex(2) (x) gbit (order 3,072) takes 23,652 nodes
+    config = RunConfig(budgets=Budgets(group_nodes=100))
+    text = "space D = simplex(2)\nspace G = gbit()\nspace DG = product(D, G)\ncheck theorem1 DG"
+    rec = ex.execute(parse(text), config).checks[0]
+    assert rec.verdict == "pass"
+    assert rec.certificate["N"] == 2
+
+
+def test_transitive_cube6_under_default_budgets():
+    # its group has order 46,080, and listing it exceeds the default 10^6 nodes
+    rec = ex.execute(parse("space C = cube(6)\ncheck transitive C")).checks[0]
+    assert rec.verdict == "pass"
+    assert rec.certificate["orbits"] == [list(range(64))]
+
+
+def test_direct_sum_with_a_point_is_not_transitive():
+    from oracles import orbits as listed_orbits
+    from gptlab.dynamics import reversible_maps
+
+    text = ("space G = gbit()\nspace X = point()\nspace GX = dsum(G, X)\n"
+            "check transitive GX\ncheck theorem1 GX")
+    transitive, theorem1 = ex.execute(parse(text)).checks
+    assert transitive.certificate["outcome"] == "false"
+    space = ss.direct_sum(ss.gbit(), ss.point())
+    assert transitive.certificate["orbits"] == listed_orbits(space, reversible_maps(space))
+    assert theorem1.verdict == "inapplicable"
+    assert theorem1.certificate["reason"] == "space is not transitive"
 
 
 def test_execute_singular_lri_outcome_none():
