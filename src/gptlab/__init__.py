@@ -68,7 +68,6 @@ from .linalg import Matrix
 from .report import Report, REPORT_SCHEMA, validate_report
 from .scenario import ParseError, ScenarioAst, parse, print_ast
 from .statespace import (
-    BUILDERS,
     Effect,
     State,
     StateSpace,

@@ -1,5 +1,6 @@
-"""One table entry per check kind: its operand slots, outcomes and run function.
+"""One table entry per check kind, space construction and map construction.
 
+``CHECKS`` holds each check kind's operand slots, outcomes and run function.
 The scenario parser and printer walk an entry's slots, the runner resolves
 them to operands, and the runner and the CLI subcommands call its run function.
 Slots, in source order: ``space`` (a space name), ``pair`` (one product space
@@ -10,6 +11,12 @@ space, resolved to its two factors) and ``b=K`` (a fixed input, 0 if absent).
 A run function takes an environment, which supplies ``group(space)`` and
 ``config.budgets``, and the resolved operands.  It returns the outcome label,
 the verdict when no ``expect`` clause is given, and the certificate.
+
+``SPACES`` and ``MAPS`` hold each construction's operands and build function.
+An operand is ``int``, ``space`` or ``map``; a trailing ``maps`` takes one or
+more maps.  The parser reads a call's arguments off the operands, the printer
+writes every call alike, and the runner calls ``build(ctx, *operands)`` on
+the resolved operands.  Table order is the order of the parser's hints.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from . import dynamics as dyn
 from . import interactions as ia
 from . import report as rp
 from . import statespace as ss
+from .linalg import Matrix
 
 
 @dataclass(frozen=True)
@@ -153,4 +161,36 @@ CHECKS = {
     "distributivity": CheckKind(("space", "space", "space"), ("true", "false"),
                                 _distributivity),
     "entangled": CheckKind(("state", "on", "product"), ("true", "false"), _entangled),
+}
+
+
+@dataclass(frozen=True)
+class Construction:
+    operands: tuple
+    build: Callable
+
+    def operand(self, k: int) -> str:
+        """The operand kind of argument k.  Past the end the last one repeats,
+        which a trailing ``maps`` needs; surplus arguments of an entry
+        without operands read as integers until the arity check rejects them."""
+        return self.operands[min(k, len(self.operands) - 1)] if self.operands else "int"
+
+
+SPACES = {
+    "simplex": Construction(("int",), lambda ctx, n: ss.simplex(n, ctx)),
+    "point": Construction((), lambda ctx: ss.point(ctx)),
+    "gbit": Construction((), lambda ctx: ss.gbit(ctx)),
+    "cube": Construction(("int",), lambda ctx, n: ss.cube(n, ctx)),
+    "cross": Construction(("int",), lambda ctx, n: ss.cross(n, ctx)),
+    "product": Construction(("space", "space"), lambda _ctx, a, b: ss.min_tensor(a, b)),
+    "dsum": Construction(("space", "space"), lambda _ctx, a, b: ss.direct_sum(a, b)),
+}
+
+MAPS = {
+    "identity": Construction(("space",), lambda ctx, a: Matrix.identity(a.ambient_dim, ctx)),
+    "swap": Construction(("space", "space"), lambda _ctx, a, b: ia.swap_map(a, b)),
+    "cnot": Construction((), lambda ctx: ia.cnot_map(ss.simplex(1, ctx))),
+    "product": Construction(("map", "map"), lambda _ctx, x, y: ia.product_map(x, y)),
+    "ctrl": Construction(("space", "space", "maps"),
+                         lambda _ctx, d, b, *maps: ia.controlled_map(d, b, maps)),
 }

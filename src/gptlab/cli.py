@@ -15,12 +15,11 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-from . import dynamics as dyn
 from . import scenario as sc
 from . import statespace as ss
 from .config import BudgetExceededError, DEFAULT_BUDGETS
 from .runner import RunConfig, execute, run_kind
-from .report import mat_from_json, mat_to_json, validate_report
+from .report import mat_from_json, validate_report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -125,20 +124,16 @@ def _cmd_decompose(args, config: RunConfig) -> int:
 
 def _cmd_group(args, config: RunConfig) -> int:
     space = _load_space(args.space, config)
-    group = dyn.reversible_maps(space, config.budgets)
+    _, _, cert = run_kind("group", config, space)
     if args.json:
-        print(json.dumps({
-            "label": space.label,
-            "order": group.order,
-            "perms": [list(p) for p in group.perms],
-            "matrices": [mat_to_json(g.matrix) for g in group.elements],
-        }, indent=2))
+        print(json.dumps({"label": space.label, "order": cert["order"], "perms": cert["perms"],
+                          "matrices": cert["matrices"]}, indent=2))
     else:
-        print(f"{space.label}: group of order {group.order}")
-        for g in group.elements:
-            print(f"  perm {g.perm}:")
-            for row in g.matrix.rows:
-                print("    [" + ", ".join(str(x) for x in row) + "]")
+        print(f"{space.label}: group of order {cert['order']}")
+        for perm, matrix in zip(cert["perms"], cert["matrices"]):
+            print(f"  perm {tuple(perm)}:")
+            for row in matrix:
+                print("    [" + ", ".join(row) + "]")
     return 0
 
 

@@ -273,26 +273,21 @@ def reversible_maps(space: StateSpace, budgets: Budgets = DEFAULT_BUDGETS) -> Sy
 
 
 def _greedy_generators(group: SymmetryGroup) -> tuple:
-    n = group.space.nvertices
-    identity = tuple(range(n))
-    known = {identity}
-    gens = []
-    for g in group.elements:
-        if g.perm in known:
-            continue
-        gens.append(g)
-        frontier = list(known | {g.perm})
-        closure = set(known | {g.perm})
-        while frontier:
-            p = frontier.pop()
-            for q in [h.perm for h in gens]:
-                for comp in (tuple(p[q[i]] for i in range(n)), tuple(q[p[i]] for i in range(n))):
-                    if comp not in closure:
-                        closure.add(comp)
-                        frontier.append(comp)
-        known = closure
-        if len(known) == group.order:
+    """Each element, in sorted order, that the ones before it do not generate.
+
+    A generator g moves element index k to the index of element k composed
+    with g; what the generators reach is the closure of the identity's index.
+    """
+    index = {g.perm: k for k, g in enumerate(group.elements)}
+    reached = {index[group.identity.perm]}
+    gens, moves = [], []
+    for k, g in enumerate(group.elements):
+        if len(reached) == group.order:
             break
+        if k not in reached:
+            gens.append(g)
+            moves.append([index[tuple(h.perm[i] for i in g.perm)] for h in group.elements])
+            _closure(reached, moves)
     return tuple(gens)
 
 

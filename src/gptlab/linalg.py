@@ -71,10 +71,6 @@ def _scaled(v: Vector) -> tuple:
     return tuple(x.numerator * (den // x.denominator) for x in v), den
 
 
-def is_zero_vec(a: Vector, ctx: Context) -> bool:
-    return all(ctx.is_zero(x) for x in a)
-
-
 def veq(a: Vector, b: Vector, ctx: Context) -> bool:
     return len(a) == len(b) and all(ctx.eq(x, y) for x, y in zip(a, b))
 

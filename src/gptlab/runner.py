@@ -2,10 +2,12 @@
 
 A failing check never aborts later checks; evaluation errors become
 verdict="error" records.  A space or map definition that cannot be evaluated
-stops the run with a ParseError at its line:column.  Each check runs its
-kind's entry in ``checks.CHECKS``.  With an ``expect`` clause the verdict is
-pass/fail by comparison with the computed outcome label, which lets scenarios
-encode negative controls (e.g. ``check lri SW on GG expect none``).
+stops the run with a ParseError at its line:column.  A construction calls its
+entry's build function in ``checks.SPACES`` or ``checks.MAPS``, and each
+check runs its kind's entry in ``checks.CHECKS``.  With an ``expect`` clause
+the verdict is pass/fail by comparison with the computed outcome label, which
+lets scenarios encode negative controls (e.g. ``check lri SW on GG expect
+none``).
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from dataclasses import dataclass
 
 from .arith import Context, EXACT, float_context
 from .config import Budgets, BudgetExceededError, DEFAULT_BUDGETS
-from .checks import CHECKS
+from .checks import CHECKS, MAPS, SPACES
 from . import dynamics as dyn
-from . import interactions as ia
 from . import scenario as sc
 from . import statespace as ss
 from .linalg import Matrix
@@ -75,14 +76,8 @@ def execute(ast: sc.ScenarioAst, config: RunConfig = RunConfig(),
 def _eval_space(stmt: sc.SpaceDef, env: _Env) -> ss.StateSpace:
     e = stmt.expr
     ctx = env.ctx
-    if isinstance(e, sc.BuilderCall):
-        builder = ss.BUILDERS[e.builder]
-        space = builder(*e.args, ctx=ctx)
-        return ss.StateSpace(stmt.name, space.vertices, space.u, ctx,
-                             space.factors, space.product_index)
-    if isinstance(e, sc.CompositeExpr):
-        a, b = env.spaces[e.left], env.spaces[e.right]
-        made = ss.min_tensor(a, b) if e.kind == "product" else ss.direct_sum(a, b)
+    if isinstance(e, sc.Call):
+        made = _build(SPACES, e, env)
         return ss.StateSpace(stmt.name, made.vertices, made.u, ctx,
                              made.factors, made.product_index)
     rows = [[ctx.num(x) for x in row] for row in e.rows]
@@ -95,19 +90,18 @@ def _eval_map(stmt: sc.MapDef, env: _Env) -> Matrix:
     ctx = env.ctx
     if isinstance(e, sc.MatrixLit):
         return Matrix.from_rows([[ctx.num(x) for x in row] for row in e.rows], ctx)
-    if e.name == "cnot":
-        return ia.cnot_map(ss.simplex(1, ctx))
-    if e.name == "identity":
-        return Matrix.identity(env.spaces[e.args[0]].ambient_dim, ctx)
-    if e.name == "swap":
-        return ia.swap_map(env.spaces[e.args[0]], env.spaces[e.args[1]])
-    if e.name == "product":
-        return ia.product_map(env.maps[e.args[0]], env.maps[e.args[1]])
-    if e.name == "ctrl":
-        control, system = env.spaces[e.args[0]], env.spaces[e.args[1]]
-        maps = [env.maps[m] for m in e.args[2:]]
-        return ia.controlled_map(control, system, maps)
-    raise ValueError(f"unknown map construction {e.name!r}")
+    return _build(MAPS, e, env)
+
+
+def _build(table: dict, call: sc.Call, env: _Env):
+    """The call's entry built on its resolved operands."""
+    entry = table[call.name]
+    operands = []
+    for k, arg in enumerate(call.args):
+        kind = entry.operand(k)
+        operands.append(arg if kind == "int" else env.spaces[arg] if kind == "space"
+                        else env.maps[arg])
+    return entry.build(env.ctx, *operands)
 
 
 def _run_check(stmt: sc.CheckStmt, env: _Env, number: int) -> CheckRecord:

@@ -15,6 +15,11 @@ Grammar (one statement per line, '#' comments):
 
 Rationals are written p or p/q.  Identifiers must be defined before use and
 defined only once; every diagnostic carries line and column.
+
+Each space and map construction is one entry of ``checks.SPACES`` or
+``checks.MAPS``; the parser reads a call's arguments off its operands and the
+printer writes every call alike.  A map construction without operands is
+written bare (``cnot``); a space builder keeps its parentheses (``gbit()``).
 """
 
 from __future__ import annotations
@@ -24,11 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .checks import CHECKS
-
-BUILDER_ARITY = {"simplex": 1, "point": 0, "gbit": 0, "cube": 1, "cross": 1}
-BUILDER_NAMES = tuple(BUILDER_ARITY)
-NAMED_MAPS = ("identity", "swap", "cnot", "product", "ctrl")
+from .checks import CHECKS, MAPS, SPACES
 
 
 class ParseError(ValueError):
@@ -47,16 +48,9 @@ class Loc:
 
 
 @dataclass(frozen=True)
-class BuilderCall:
-    builder: str
-    args: tuple
-
-
-@dataclass(frozen=True)
-class CompositeExpr:
-    kind: str  # "product" | "dsum"
-    left: str
-    right: str
+class Call:
+    name: str   # an entry of checks.SPACES or checks.MAPS
+    args: tuple  # integers and identifiers, in the entry's operand order
 
 
 @dataclass(frozen=True)
@@ -68,12 +62,6 @@ class VerticesLiteral:
 @dataclass(frozen=True)
 class MatrixLit:
     rows: tuple
-
-
-@dataclass(frozen=True)
-class NamedMapExpr:
-    name: str
-    args: tuple  # identifier arguments
 
 
 @dataclass(frozen=True)
@@ -200,18 +188,6 @@ class _LineParser:
         self.take("sym", "]")
         return tuple(rows)
 
-    def id_args(self) -> tuple:
-        """Parenthesized comma-separated identifier list."""
-        self.take("sym", "(")
-        args = []
-        if not self.peek_is("sym", ")"):
-            args.append(self.take_id().text)
-            while self.peek_is("sym", ","):
-                self.take("sym", ",")
-                args.append(self.take_id().text)
-        self.take("sym", ")")
-        return tuple(args)
-
 
 def parse(text: str) -> ScenarioAst:
     """Parse a scenario; raises ParseError with line:col on the first error."""
@@ -250,8 +226,7 @@ def _declare(name_tok: _Token, spaces: dict, maps: dict):
                          name_tok.line, name_tok.col)
 
 
-def _resolve(p: _LineParser, table: dict, what: str) -> str:
-    tok = p.take_id()
+def _resolve(tok: _Token, table: dict, what: str) -> str:
     if tok.text not in table:
         raise ParseError(f"undefined {what} {tok.text!r}", tok.line, tok.col)
     return tok.text
@@ -261,84 +236,61 @@ def _parse_space(p: _LineParser, loc: Loc, spaces: dict) -> SpaceDef:
     name = p.take_id()
     _declare(name, spaces, {})
     p.take("sym", "=")
-    tok = p.cur
-    if tok.kind == "id" and tok.text == "vertices":
+    if p.peek_is("id", "vertices"):
         p.take_id()
         rows = p.matrix()
         p.take("id", "unit")
-        unit = p.vector()
-        return SpaceDef(name.text, VerticesLiteral(rows, unit), loc)
-    if tok.kind == "id" and tok.text in ("product", "dsum"):
-        kind = p.take_id().text
-        args = p.id_args()
-        if len(args) != 2:
-            raise ParseError(f"{kind} takes two spaces", tok.line, tok.col)
-        for a in args:
-            if a not in spaces:
-                raise ParseError(f"undefined space {a!r}", tok.line, tok.col)
-        return SpaceDef(name.text, CompositeExpr(kind, args[0], args[1]), loc)
-    if tok.kind == "id" and tok.text in BUILDER_NAMES:
-        p.take_id()
-        p.take("sym", "(")
-        args = []
-        if not p.peek_is("sym", ")"):
-            args.append(p.take_int())
-            while p.peek_is("sym", ","):
-                p.take("sym", ",")
-                args.append(p.take_int())
-        p.take("sym", ")")
-        arity = BUILDER_ARITY[tok.text]
-        if len(args) != arity:
-            raise ParseError(f"{tok.text} takes {arity} argument(s), found {len(args)}",
-                             tok.line, tok.col)
-        return SpaceDef(name.text, BuilderCall(tok.text, tuple(args)), loc)
-    if tok.kind == "id":
-        raise ParseError(f"unknown builder {tok.text!r}", tok.line, tok.col,
-                         expected=BUILDER_NAMES + ("product", "dsum", "vertices"))
-    p.error("expected a space expression",
-            expected=BUILDER_NAMES + ("product", "dsum", "vertices"))
+        return SpaceDef(name.text, VerticesLiteral(rows, p.vector()), loc)
+    return SpaceDef(name.text, _parse_call(p, "space", spaces, {}), loc)
 
 
 def _parse_map(p: _LineParser, loc: Loc, spaces: dict, maps: dict) -> MapDef:
     name = p.take_id()
     _declare(name, spaces, maps)
     p.take("sym", "=")
-    tok = p.cur
-    if tok.kind == "sym" and tok.text == "[":
+    if p.peek_is("sym", "["):
         return MapDef(name.text, MatrixLit(p.matrix()), loc)
-    if tok.kind == "id" and tok.text in NAMED_MAPS:
-        p.take_id()
-        if tok.text == "cnot":
-            return MapDef(name.text, NamedMapExpr("cnot", ()), loc)
-        args = p.id_args()
-        expected_tables = {
-            "identity": (1, (spaces,)),
-            "swap": (2, (spaces, spaces)),
-            "product": (2, (maps, maps)),
-        }
-        if tok.text in expected_tables:
-            count, tables = expected_tables[tok.text]
-            if len(args) != count:
-                raise ParseError(f"{tok.text} takes {count} argument(s)", tok.line, tok.col)
-            for a, table in zip(args, tables):
-                if a not in table:
-                    what = "space" if table is spaces else "map"
-                    raise ParseError(f"undefined {what} {a!r}", tok.line, tok.col)
-        else:  # ctrl(D, B, M0, M1, ...)
-            if len(args) < 3:
-                raise ParseError("ctrl takes a control space, a system space and maps",
-                                 tok.line, tok.col)
-            for a in args[:2]:
-                if a not in spaces:
-                    raise ParseError(f"undefined space {a!r}", tok.line, tok.col)
-            for a in args[2:]:
-                if a not in maps:
-                    raise ParseError(f"undefined map {a!r}", tok.line, tok.col)
-        return MapDef(name.text, NamedMapExpr(tok.text, args), loc)
-    if tok.kind == "id":
-        raise ParseError(f"unknown map construction {tok.text!r}", tok.line, tok.col,
-                         expected=NAMED_MAPS + ("[",))
-    p.error("expected a map expression", expected=NAMED_MAPS + ("[",))
+    return MapDef(name.text, _parse_call(p, "map", spaces, maps), loc)
+
+
+def _parse_call(p: _LineParser, head: str, spaces: dict, maps: dict) -> Call:
+    """A construction of ``checks.SPACES`` (head "space") or ``checks.MAPS``,
+    its arguments read off the entry's operands: integers, or names resolved
+    among the spaces or the maps once the argument count is known right."""
+    table, noun, literal = ((SPACES, "builder", "vertices") if head == "space"
+                            else (MAPS, "map construction", "["))
+    expected = tuple(table) + (literal,)
+    tok = p.cur
+    if tok.kind != "id":
+        p.error(f"expected a {head} expression", expected=expected)
+    if tok.text not in table:
+        raise ParseError(f"unknown {noun} {tok.text!r}", tok.line, tok.col, expected=expected)
+    p.take_id()
+    entry = table[tok.text]
+    if head == "map" and not entry.operands:
+        return Call(tok.text, ())
+    args: list = []
+
+    def argument():
+        return p.take_int() if entry.operand(len(args)) == "int" else p.take_id()
+
+    p.take("sym", "(")
+    if not p.peek_is("sym", ")"):
+        args.append(argument())
+        while p.peek_is("sym", ","):
+            p.take("sym", ",")
+            args.append(argument())
+    p.take("sym", ")")
+    arity = len(entry.operands)
+    variadic = entry.operands[-1:] == ("maps",)
+    if not (len(args) == arity or variadic and len(args) > arity):
+        raise ParseError(f"{tok.text} takes {arity}{' or more' if variadic else ''} argument(s), "
+                         f"found {len(args)}", tok.line, tok.col)
+    for k, arg in enumerate(args):
+        operand = entry.operand(k)
+        if operand != "int":
+            args[k] = _resolve(arg, *((spaces, "space") if operand == "space" else (maps, "map")))
+    return Call(tok.text, tuple(args))
 
 
 def _parse_check(p: _LineParser, loc: Loc, spaces: dict, maps: dict) -> CheckStmt:
@@ -352,7 +304,7 @@ def _parse_check(p: _LineParser, loc: Loc, spaces: dict, maps: dict) -> CheckStm
     b_index = None
     for slot in CHECKS[kind].slots:
         if slot == "map":
-            ids.append(_resolve(p, maps, "map"))
+            ids.append(_resolve(p.take_id(), maps, "map"))
         elif slot == "on":
             p.take("id", "on")
         elif slot == "state":
@@ -363,9 +315,9 @@ def _parse_check(p: _LineParser, loc: Loc, spaces: dict, maps: dict) -> CheckStm
                 p.take("sym", "=")
                 b_index = p.take_int()
         else:  # space, product, or a pair: one space name or two
-            ids.append(_resolve(p, spaces, "space"))
+            ids.append(_resolve(p.take_id(), spaces, "space"))
             if slot == "pair" and p.peek_is("id") and p.cur.text != "expect":
-                ids.append(_resolve(p, spaces, "space"))
+                ids.append(_resolve(p.take_id(), spaces, "space"))
     expect = None
     if p.peek_is("id", "expect"):
         p.take_id()
@@ -404,24 +356,17 @@ def print_ast(ast: ScenarioAst) -> str:
     """Canonical text form; parse(print_ast(parse(s))) == parse(s)."""
     lines = []
     for stmt in ast.statements:
-        if isinstance(stmt, SpaceDef):
+        if isinstance(stmt, (SpaceDef, MapDef)):
             e = stmt.expr
-            if isinstance(e, BuilderCall):
-                body = f"{e.builder}({', '.join(str(a) for a in e.args)})"
-            elif isinstance(e, CompositeExpr):
-                body = f"{e.kind}({e.left}, {e.right})"
+            if isinstance(e, Call):
+                bare = isinstance(stmt, MapDef) and not e.args
+                body = e.name if bare else f"{e.name}({', '.join(str(a) for a in e.args)})"
+            elif isinstance(e, MatrixLit):
+                body = _fmt_mat(e.rows)
             else:
                 body = f"vertices {_fmt_mat(e.rows)} unit {_fmt_vec(e.unit)}"
-            lines.append(f"space {stmt.name} = {body}")
-        elif isinstance(stmt, MapDef):
-            e = stmt.expr
-            if isinstance(e, MatrixLit):
-                body = _fmt_mat(e.rows)
-            elif e.name == "cnot":
-                body = "cnot"
-            else:
-                body = f"{e.name}({', '.join(e.args)})"
-            lines.append(f"map {stmt.name} = {body}")
+            head = "space" if isinstance(stmt, SpaceDef) else "map"
+            lines.append(f"{head} {stmt.name} = {body}")
         else:
             parts = ["check", stmt.kind]
             ids = iter(stmt.ids)

@@ -258,15 +258,6 @@ def cross(n: int, ctx: Context = EXACT) -> StateSpace:
     return _assemble(f"cross({n})", verts, u, ctx)
 
 
-BUILDERS = {
-    "point": point,
-    "simplex": simplex,
-    "gbit": gbit,
-    "cube": cube,
-    "cross": cross,
-}
-
-
 # -- composites ------------------------------------------------------------
 
 

@@ -10,7 +10,8 @@ tableau, before ``lp`` pivoted in integers; it pins the certificates, pivot
 for pivot.  ``block_projectors`` and ``reassemble`` are the direct-sum
 projectors and the conditional-structure check as they ran before both
 read the span frame and vertex images: each completes its own basis and
-inverts it.
+inverts it.  ``greedy_generators`` is the generating set as it was built by
+closing vertex perms under composition on both sides.
 """
 
 from __future__ import annotations
@@ -489,3 +490,28 @@ def reassemble(structure):
     # off the span of the product vertices the interaction is copied as is
     chosen_dst = [cols_dst[k] for k in pos] + [structure.matrix.apply(e) for e in basis[len(pos):]]
     return Matrix.from_cols(chosen_dst, ctx) @ Matrix.from_cols(basis, ctx).inverse()
+
+
+def greedy_generators(group):
+    """Each element, in sorted order, that the ones before it do not generate."""
+    n = group.space.nvertices
+    identity = tuple(range(n))
+    known = {identity}
+    gens = []
+    for g in group.elements:
+        if g.perm in known:
+            continue
+        gens.append(g)
+        frontier = list(known | {g.perm})
+        closure = set(known | {g.perm})
+        while frontier:
+            p = frontier.pop()
+            for q in [h.perm for h in gens]:
+                for comp in (tuple(p[q[i]] for i in range(n)), tuple(q[p[i]] for i in range(n))):
+                    if comp not in closure:
+                        closure.add(comp)
+                        frontier.append(comp)
+        known = closure
+        if len(known) == group.order:
+            break
+    return tuple(gens)

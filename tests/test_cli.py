@@ -100,6 +100,18 @@ def test_group_subcommand_json(gbit_json):
     assert len(data["matrices"]) == 8
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("flags, suffix", [([], "txt"), (["--json"], "json")], ids=["text", "json"])
+def test_group_subcommand_output_is_pinned(gbit_json, capsys, mode, flags, suffix):
+    """The group subcommand prints the certificate of ``run_kind("group")``;
+    its output for gbit is stored byte for byte in tests/data."""
+    from gptlab import cli
+
+    assert cli.main(["--mode", mode, *flags, "group", str(gbit_json)]) == 0
+    pinned = Path(__file__).parent / "data" / f"group_gbit_{mode}.{suffix}"
+    assert capsys.readouterr().out == pinned.read_text(encoding="utf-8")
+
+
 def test_decompose_subcommand(d1_json):
     proc = run_cli("decompose", str(d1_json))
     assert proc.returncode == 0

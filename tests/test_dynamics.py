@@ -20,7 +20,7 @@ from gptlab.dynamics import (
 from gptlab.geometry import face_lattice, join
 from gptlab.linalg import Matrix
 from gptlab.statespace import direct_sum, min_tensor, transformed
-from oracles import orbits as listed_orbits
+from oracles import greedy_generators, orbits as listed_orbits
 from oracles import random_polytope, unimodular_u_preserving_map, unpruned_symmetries
 
 
@@ -104,6 +104,18 @@ def test_generators_generate():
                 frontier.append(comp)
     assert len(closure) == g.order
     assert len(gen_perms) < g.order
+
+
+@pytest.mark.parametrize("space", [
+    ss.point(), ss.simplex(1), ss.simplex(3), ss.gbit(), ss.cube(3), ss.cube(4), ss.cross(3),
+    direct_sum(ss.gbit(), ss.point()), min_tensor(ss.gbit(), ss.simplex(1)),
+], ids=["point", "simplex1", "simplex3", "gbit", "cube3", "cube4", "cross3", "gbit+point",
+        "gbit*simplex1"])
+def test_generators_match_the_greedy_oracle(space):
+    scrambled = transformed(space, unimodular_u_preserving_map(space, random.Random(3)))
+    for s in (space, scrambled):
+        group = reversible_maps(s)
+        assert [g.perm for g in group.generators] == [g.perm for g in greedy_generators(group)]
 
 
 def test_group_elements_canonically_sorted_and_unique():

@@ -1,14 +1,17 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from gptlab import interactions as ia
 from gptlab import runner as ex
 from gptlab import statespace as ss
 from gptlab import scenario as sc
-from gptlab.checks import CHECKS
+from gptlab.checks import CHECKS, MAPS, SPACES
 from gptlab.cli import demo_path
+from gptlab.linalg import Matrix
 from gptlab.report import validate_report
 from gptlab.scenario import ParseError, parse, print_ast
 
@@ -19,7 +22,7 @@ def test_parse_single_space_def():
     stmt = ast.statements[0]
     assert isinstance(stmt, sc.SpaceDef)
     assert stmt.name == "A"
-    assert stmt.expr == sc.BuilderCall("simplex", (2,))
+    assert stmt.expr == sc.Call("simplex", (2,))
     assert stmt.loc.line == 1
 
 
@@ -69,6 +72,88 @@ def test_readme_outcome_table_lists_each_check_kind():
         rows.update((kind, outcomes) for kind in kinds.split(", "))
     assert rows == {kind: ", ".join(entry.outcomes) or "the group order, a positive integer"
                     for kind, entry in CHECKS.items()}
+
+
+def test_scenario_grammar_names_each_construction():
+    grammar = sc.__doc__.split("space ID =", 1)[1]
+    spaces, maps = grammar.split("check", 1)[0].split("map   ID =")
+    assert re.findall(r"\b[a-z]+\b", spaces) == [*SPACES, "vertices", "unit"]
+    assert re.findall(r"\b[a-z]+\b", maps) == list(MAPS)
+
+
+_PRELUDE = ("space A = simplex(1)\nspace G = gbit()\nspace X = point()\nspace D = dsum(X, X)\n"
+            "map I = identity(G)\nmap R = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]\n")
+_R = Matrix.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
+
+# (head, name): the construction as written, the same object from the
+# library, and a call with the wrong number of arguments with its message
+CONSTRUCTIONS = {
+    ("space", "simplex"): ("simplex(2)", lambda: ss.simplex(2),
+                           ("simplex(2, 3)", "simplex takes 1 argument(s), found 2")),
+    ("space", "point"): ("point()", ss.point, ("point(1)", "point takes 0 argument(s), found 1")),
+    ("space", "gbit"): ("gbit()", ss.gbit, ("gbit(3)", "gbit takes 0 argument(s), found 1")),
+    ("space", "cube"): ("cube(3)", lambda: ss.cube(3),
+                        ("cube()", "cube takes 1 argument(s), found 0")),
+    ("space", "cross"): ("cross(2)", lambda: ss.cross(2),
+                         ("cross(1, 2)", "cross takes 1 argument(s), found 2")),
+    ("space", "product"): ("product(A, G)", lambda: ss.min_tensor(ss.simplex(1), ss.gbit()),
+                           ("product(A)", "product takes 2 argument(s), found 1")),
+    ("space", "dsum"): ("dsum(A, G)", lambda: ss.direct_sum(ss.simplex(1), ss.gbit()),
+                        ("dsum(A, G, A)", "dsum takes 2 argument(s), found 3")),
+    ("map", "identity"): ("identity(G)", lambda: Matrix.identity(3),
+                          ("identity()", "identity takes 1 argument(s), found 0")),
+    ("map", "swap"): ("swap(G, G)", lambda: ia.swap_map(ss.gbit(), ss.gbit()),
+                      ("swap(G)", "swap takes 2 argument(s), found 1")),
+    ("map", "cnot"): ("cnot", lambda: ia.cnot_map(ss.simplex(1)), (None, None)),
+    ("map", "product"): ("product(R, I)", lambda: ia.product_map(_R, Matrix.identity(3)),
+                         ("product(R, I, I)", "product takes 2 argument(s), found 3")),
+    ("map", "ctrl"): ("ctrl(D, G, I, R)", lambda: ia.controlled_map(
+        ss.direct_sum(ss.point(), ss.point()), ss.gbit(), [Matrix.identity(3), _R]),
+        ("ctrl(D, G)", "ctrl takes 3 or more argument(s), found 2")),
+}
+
+
+def _evaluate(ast):
+    env = ex._Env(ex.RunConfig())
+    for stmt in ast.statements:
+        if isinstance(stmt, sc.SpaceDef):
+            env.spaces[stmt.name] = ex._eval_space(stmt, env)
+        else:
+            env.maps[stmt.name] = ex._eval_map(stmt, env)
+    return env
+
+
+@pytest.mark.parametrize("head, name", list(CONSTRUCTIONS), ids=lambda x: x)
+def test_each_construction_parses_prints_and_builds(head, name):
+    assert set(CONSTRUCTIONS) == {("space", n) for n in SPACES} | {("map", n) for n in MAPS}
+    text, direct, (bad_count, message) = CONSTRUCTIONS[head, name]
+    source = f"{_PRELUDE}{head} Z = {text}\n"
+    ast = parse(source)
+    assert print_ast(ast) == source
+    assert parse(print_ast(ast)) == ast
+    args = tuple(int(a) if a.isdigit() else a for a in re.findall(r"\w+", text)[1:])
+    assert ast.statements[-1].expr == sc.Call(name, args)
+
+    env = _evaluate(ast)
+    if head == "space":
+        made, want = env.spaces["Z"], direct()
+        assert (made.label, made.vertices, made.u) == ("Z", want.vertices, want.u)
+        assert (made.factors is None) == (want.factors is None)
+    else:
+        assert env.maps["Z"] == direct()
+
+    line = len(_PRELUDE.splitlines()) + 1
+    col = len(f"{head} Z = ") + 1
+    if bad_count is not None:
+        with pytest.raises(ParseError) as err:
+            parse(f"{_PRELUDE}{head} Z = {bad_count}")
+        assert str(err.value) == f"{line}:{col}: {message}"
+    if args and isinstance(args[-1], str):  # the last name undefined, at its own column
+        undefined = re.sub(r"\w+\)$", "U)", text)
+        with pytest.raises(ParseError) as err:
+            parse(f"{_PRELUDE}{head} Z = {undefined}")
+        what = "space" if args[-1] in env.spaces else "map"
+        assert str(err.value) == f"{line}:{col + undefined.index('U')}: undefined {what} 'U'"
 
 
 def test_demo_outcomes_are_in_their_tables():
@@ -141,7 +226,6 @@ ROUNDTRIP_SOURCES = [
     "check entangled [1, 1, 0, 1, -1, 0, 0, 0, 1] on GG",
     "space A = point()\nspace B = simplex(1)\nspace C = gbit()\n"
     "check distributivity A B C",
-    "space D = dsum(A, A)\n".replace("A", "X") and
     "space X = point()\nspace D = dsum(X, X)\nspace G = gbit()\n"
     "map R = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]\nmap I = identity(G)\n"
     "map T = ctrl(D, G, I, R)\nspace P = product(D, G)\ncheck theorem3 T on P",
